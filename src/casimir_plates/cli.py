@@ -15,11 +15,12 @@ from .free_energy import (
     PlateKind,
     PlateSystem,
     ThermalPoint,
+    _route,
     evaluate_free_energy,
     free_energy_auto,
     zero_temperature_energy,
 )
-from .pressure import evaluate_pressure, pressure_auto, pressure_zero_T
+from .pressure import pressure_auto, pressure_zero_T
 from .specfun import EvalResult, SeriesControl
 from .verification import GRIDS, run_all
 
@@ -62,12 +63,14 @@ def _build_parser() -> _Parser:
         sp.add_argument("--max-terms", type=int, default=10**6)
 
     e = sub.add_parser("eval", help="evaluate one quantity at one point")
+    e.set_defaults(usage_error=e.error)
     e.add_argument("--quantity", choices=_QUANTITIES, required=True)
     e.add_argument("--beta", type=float)
     e.add_argument("--xi", type=float)
     common(e)
 
     s = sub.add_parser("sweep", help="sweep xi and write a CSV")
+    s.set_defaults(usage_error=s.error)
     s.add_argument("--quantity", choices=_QUANTITIES, required=True)
     s.add_argument("--xi-min", type=float, required=True)
     s.add_argument("--xi-max", type=float, required=True)
@@ -81,6 +84,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--tamper", choices=("bessel-sign",), default=None)
 
     f = sub.add_parser("figure", help="emit figure data as CSV")
+    f.set_defaults(usage_error=f.error)
     f.add_argument("id", type=int, choices=(1, 2, 3))
     f.add_argument("--out", required=True)
     f.add_argument("--points", type=int, default=201)
@@ -94,9 +98,7 @@ def _ctl(args) -> SeriesControl:
 def _point_quantity(quantity: str, system: str, rep: str, xi: float, d: float, ctl) -> EvalResult:
     sys_ = PlateSystem(d, system)
     if quantity in ("free_energy", "f_scaled"):
-        if xi == 0.0:
-            r = EvalResult(zero_temperature_energy(sys_), 0.0, 0, "zero-T")
-        elif rep == "auto":
+        if rep == "auto" or _route(xi) == "zero-T":
             r = free_energy_auto(sys_, xi, ctl)
         else:
             r = evaluate_free_energy(sys_, ThermalPoint.from_xi(xi, d), ctl, rep)
@@ -116,16 +118,14 @@ def _point_quantity(quantity: str, system: str, rep: str, xi: float, d: float, c
 
 
 def _resolve_xi(args) -> float:
-    if args.beta is not None and args.xi is not None:
-        raise SystemExit(EXIT_USAGE)
-    if args.beta is None and args.xi is None:
-        raise SystemExit(EXIT_USAGE)
+    if (args.beta is None) == (args.xi is None):
+        args.usage_error("give exactly one of --beta and --xi")
     if args.beta is not None:
         if args.beta <= 0.0:
-            raise SystemExit(EXIT_USAGE)
+            args.usage_error(f"--beta must be positive, got {args.beta!r}")
         return args.d / (math.pi * args.beta)
     if args.xi < 0.0:
-        raise SystemExit(EXIT_USAGE)
+        args.usage_error(f"--xi must be nonnegative, got {args.xi!r}")
     return args.xi
 
 
@@ -140,12 +140,14 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid(xi_min: float, xi_max: float, points: int, spacing: str):
-    if points < 2 or not 0.0 <= xi_min < xi_max:
-        raise SystemExit(EXIT_USAGE)
+def _grid(xi_min: float, xi_max: float, points: int, spacing: str, usage_error):
+    if points < 2:
+        usage_error(f"--points must be at least 2, got {points}")
+    if not 0.0 <= xi_min < xi_max:
+        usage_error(f"need 0 <= --xi-min < --xi-max, got {xi_min!r} and {xi_max!r}")
     if spacing == "log":
         if xi_min <= 0.0:
-            raise SystemExit(EXIT_USAGE)
+            usage_error("--spacing log needs --xi-min > 0")
         la, lb = math.log(xi_min), math.log(xi_max)
         return [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
     return [xi_min + (xi_max - xi_min) * i / (points - 1) for i in range(points)]
@@ -164,7 +166,7 @@ def _write_csv(path: str, header: str, rows) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    xs = _grid(args.xi_min, args.xi_max, args.points, args.spacing)
+    xs = _grid(args.xi_min, args.xi_max, args.points, args.spacing, args.usage_error)
     ctl = _ctl(args)
     rows = []
     try:
@@ -190,7 +192,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    n = max(args.points, 200)
     ctl = SeriesControl(rel_tol=1e-12)
     try:
         if args.id == 1 or args.id == 2:
@@ -201,12 +202,9 @@ def _cmd_figure(args) -> int:
             fb0 = zero_temperature_energy(PlateSystem(1.0))
             fc0 = zero_temperature_energy(PlateSystem(1.0, "conductor"))
             rows = []
-            for xi in _grid(lo, hi, n, "linear"):
-                if xi == 0.0:
-                    fb, fc = fb0, fc0
-                else:
-                    fb = free_energy_auto(PlateSystem(1.0), xi, ctl).value
-                    fc = free_energy_auto(PlateSystem(1.0, "conductor"), xi, ctl).value
+            for xi in _grid(lo, hi, args.points, "linear", args.usage_error):
+                fb = free_energy_auto(PlateSystem(1.0), xi, ctl).value
+                fc = free_energy_auto(PlateSystem(1.0, "conductor"), xi, ctl).value
                 row = [f"{xi:.16e}", f"{fb:.16e}", f"{fc:.16e}", f"{fb0:.16e}", f"{fc0:.16e}"]
                 if args.id == 2:
                     row.append(f"{-math.pi**6 * xi**4 / 45.0:.16e}")
@@ -215,7 +213,7 @@ def _cmd_figure(args) -> int:
             header = "xi,p_boyer,p_zeroT_line"
             p0 = pressure_zero_T(PlateSystem(1.0))
             rows = []
-            for xi in _grid(0.0, 1.0, n, "linear"):
+            for xi in _grid(0.0, 1.0, args.points, "linear", args.usage_error):
                 p = pressure_auto(1.0, xi, ctl).value
                 rows.append((f"{xi:.16e}", f"{p:.16e}", f"{p0:.16e}"))
     except CasimirError as exc:

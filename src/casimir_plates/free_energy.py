@@ -27,12 +27,12 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .specfun import (
+    ZETA3,
     EvalResult,
     SeriesControl,
     coth_minus_one,
     coth_stable,
     inv_sinh_stable,
-    macdonald_half,
     riemann_zeta,
     sum_until,
 )
@@ -45,7 +45,6 @@ __all__ = [
     "zero_temperature_energy",
     "f_scaled_single",
     "f_scaled_double",
-    "free_energy_bessel",
     "free_energy_poisson",
     "free_energy_lattice",
     "free_energy_mode_integral",
@@ -72,32 +71,40 @@ class PlateSystem:
     kind: PlateKind = PlateKind.BOYER_MIXED
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise DomainError("plate separation d must be positive")
+        if not (self.d > 0.0 and math.isfinite(self.d)):
+            raise DomainError(f"plate separation d must be finite and positive, got {self.d!r}")
         if not isinstance(self.kind, PlateKind):
             object.__setattr__(self, "kind", PlateKind(self.kind))
 
 
 @dataclass(frozen=True)
 class ThermalPoint:
-    """Inverse temperature and the derived scaled temperature xi = d/(pi beta)."""
+    """The scaled temperature xi = d/(pi beta), the one thermal variable.
 
-    beta: float
+    The inverse temperature is not stored: at plate separation d it is
+    ``beta(d) = d/(pi xi)``.
+    """
+
     xi: float
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
-        if not self.xi > 0.0:
-            raise DomainError("xi must be positive")
+        if not (self.xi > 0.0 and math.isfinite(self.xi)):
+            raise DomainError(f"xi must be finite and positive, got {self.xi!r}")
+
+    def beta(self, d: float) -> float:
+        """Inverse temperature at plate separation d."""
+        return d / (math.pi * self.xi)
 
     @classmethod
     def from_beta(cls, beta: float, d: float) -> "ThermalPoint":
-        return cls(beta=beta, xi=d / (math.pi * beta))
+        if not (beta > 0.0 and math.isfinite(beta)):
+            raise DomainError(f"beta must be finite and positive, got {beta!r}")
+        return cls(d / (math.pi * beta))
 
     @classmethod
     def from_xi(cls, xi: float, d: float) -> "ThermalPoint":
-        return cls(beta=d / (math.pi * xi), xi=xi)
+        """The point at scaled temperature xi; it does not depend on d."""
+        return cls(xi)
 
 
 class RepresentationKind(str, enum.Enum):
@@ -111,17 +118,27 @@ class RepresentationKind(str, enum.Enum):
     ASYMPTOTIC_HIGH = "high"
 
 
-# test hook used by `casimir verify --tamper bessel-sign`; never set in
-# normal operation
+# test hook used by `casimir verify --tamper bessel-sign`: the sign of the
+# double-sum engine's thermal part; never set in normal operation
 _BESSEL_THERMAL_SIGN = 1.0
 
+_COTH_POISSON_SPLIT = 0.4  # router threshold in xi, fixed by the equivalence grid
+_POISSON_XI_FLOOR = 0.05  # both Poisson forms converge too slowly below this xi
 
-def _check_consistent(sys: PlateSystem, t: ThermalPoint):
-    xi = sys.d / (math.pi * t.beta)
-    if abs(xi - t.xi) > 1e-12 * xi:
-        raise DomainError(
-            f"ThermalPoint.xi={t.xi} inconsistent with d/(pi beta)={xi}"
-        )
+
+def _route(xi: float) -> str:
+    """The one router of free energy and pressure: 'zero-T', 'coth' or 'poisson'.
+
+    xi = 0 is the exact zero-temperature limit (removable).  So is every xi
+    whose exp(-1/(2 xi)) is exact floating-point zero: each thermal
+    correction carries that factor, and beta = d/(pi xi) may not even be
+    representable.
+    """
+    if not (xi >= 0.0 and math.isfinite(xi)):
+        raise DomainError(f"xi must be finite and nonnegative, got {xi!r}")
+    if xi == 0.0 or math.exp(-0.5 / xi) == 0.0:
+        return "zero-T"
+    return "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
 
 
 def _require_boyer(sys: PlateSystem, rep: str):
@@ -164,7 +181,11 @@ def f_scaled_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
 
 
 def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Scaled free energy f(xi) from the defining (n, m) double sum."""
+    """Scaled free energy f(xi) from the defining (n, m) double sum.
+
+    This is also the Macdonald-function (``bessel``) form term for term,
+    since K_{3/2}(z) = sqrt(pi/2z) e^(-z) (1 + 1/z).
+    """
     if not xi > 0.0:
         raise DomainError("f_scaled_double requires xi > 0")
     ctl = ctl or SeriesControl()
@@ -209,60 +230,7 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     return EvalResult(value, tail_bound + 1e-16 * abs(value), nterms, "double")
 
 
-def free_energy_bessel(
-    sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
-) -> EvalResult:
-    """F/L^2 from the Macdonald-function double sum."""
-    _require_boyer(sys, "bessel")
-    _check_consistent(sys, t)
-    ctl = ctl or SeriesControl()
-    beta, d = t.beta, sys.d
-    x = beta * math.pi / (2.0 * d)  # K_{3/2} argument unit
-    c0 = 2.0 ** (-1.5)
-    parts = []
-    nterms = 0
-    total = 0.0
-    n = 0
-    while True:
-        n += 1
-        rn = math.exp(-x * n)
-        row_first = None
-        m = 0
-        while True:
-            m += 1
-            nterms += 1
-            if nterms > ctl.max_terms:
-                raise SlowConvergenceError(
-                    "free_energy_bessel exhausted max_terms; use the "
-                    "Poisson representation at large xi"
-                )
-            pref = (n / (m * d)) ** 1.5
-            pos = pref * c0 * macdonald_half(1, x * n * m)
-            tt = pos - pref * macdonald_half(1, 2.0 * x * n * m)
-            parts.append(tt)
-            total += tt
-            if row_first is None:
-                row_first = pos
-            mbound = pos * rn / (1.0 - rn) if pos > 0.0 else 0.0
-            if m >= 2 and mbound <= 0.05 * ctl.rel_tol * abs(total):
-                break
-        # row-to-row ratio at m = 1: exp(-x) from the Macdonald decay times
-        # the ((n+1)/n)^{3/2} prefactor growth
-        r_row = math.exp(-x) * ((n + 1.0) / n) ** 1.5
-        row_tail = math.inf
-        if r_row < 1.0:
-            row_full = row_first * (1.0 + rn / (1.0 - rn))
-            row_tail = row_full * r_row / (1.0 - r_row)
-        if n >= ctl.min_terms and row_tail <= 0.5 * ctl.rel_tol * max(abs(total), 1e-300):
-            break
-    s = math.fsum(parts)
-    thermal = _BESSEL_THERMAL_SIGN * math.sqrt(2.0) / beta**1.5 * s
-    value = zero_temperature_energy(sys) - thermal
-    err = (row_tail + mbound) * math.sqrt(2.0) / beta**1.5 + 1e-16 * abs(value)
-    return EvalResult(value, err, nterms, "bessel")
-
-
-def _coth_sum_derivative(xi: float, c: float, ctl: SeriesControl, z3: float):
+def _coth_sum_derivative(xi: float, c: float, ctl: SeriesControl):
     """(d/dxi)[(1/xi) sum_m coth(c m xi)/m^3], exponentially convergent.
 
     The coth tail is split off as 1 + (coth - 1); the constant part sums
@@ -279,34 +247,33 @@ def _coth_sum_derivative(xi: float, c: float, ctl: SeriesControl, z3: float):
         return 2.0 * abs(tm) * rr / (1.0 - rr)
 
     s, bound, n = sum_until(term, tail, ctl, "poisson coth sum")
-    return -z3 / (xi * xi) + s, bound, n
+    return -ZETA3 / (xi * xi) + s, bound, n
 
 
 def free_energy_poisson(
     sys: PlateSystem,
     t: ThermalPoint,
     ctl: SeriesControl | None = None,
-    xi_floor: float = 0.05,
+    xi_floor: float = _POISSON_XI_FLOOR,
 ) -> EvalResult:
     """F/L^2 from the Poisson-resummed (high-temperature friendly) form.
 
     The xi derivative is taken analytically term by term.  Below
     ``xi_floor`` convergence degrades; callers are redirected to the
-    Bessel/coth forms.
+    coth/double forms.
     """
     _require_boyer(sys, "poisson")
-    _check_consistent(sys, t)
     ctl = ctl or SeriesControl()
     xi = t.xi
     if xi < xi_floor:
         raise SlowConvergenceError(
             f"poisson representation converges slowly for xi < {xi_floor}; "
-            "use the bessel or coth representation"
+            "use the coth or double representation"
         )
-    beta, d = t.beta, sys.d
-    z3 = riemann_zeta(3.0)
-    d1, b1, n1 = _coth_sum_derivative(xi, 4.0 * math.pi**2, ctl, z3)
-    d2, b2, n2 = _coth_sum_derivative(xi, 2.0 * math.pi**2, ctl, z3)
+    d = sys.d
+    beta = t.beta(d)
+    d1, b1, n1 = _coth_sum_derivative(xi, 4.0 * math.pi**2, ctl)
+    d2, b2, n2 = _coth_sum_derivative(xi, 2.0 * math.pi**2, ctl)
     c1 = 1.0 / (32.0 * math.pi**3 * beta**3)
     c2 = 1.0 / (8.0 * math.pi**3 * beta**3)
     value = -math.pi**2 * d / (45.0 * beta**4) + c1 * d1 - c2 * d2
@@ -347,7 +314,6 @@ def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResu
     if not xi > 0.0:
         raise DomainError("f_conducting_single requires xi > 0")
     ctl = ctl or SeriesControl()
-    z3 = riemann_zeta(3.0)
     rr = math.exp(-1.0 / xi)
 
     def term(n):
@@ -360,7 +326,7 @@ def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResu
 
     s, bound, n = sum_until(term, tail, ctl, "f_conducting_single")
     q = math.pi**2 / 8.0
-    value = -math.pi**2 / 720.0 - q * (4.0 * xi**3 * z3 + s)
+    value = -math.pi**2 / 720.0 - q * (4.0 * xi**3 * ZETA3 + s)
     return EvalResult(value, q * bound + 1e-16 * abs(value), n, "coth")
 
 
@@ -375,7 +341,6 @@ def free_energy_lattice(
     shell truncation of the conditionally convergent sum can deliver.
     """
     _require_boyer(sys, "lattice")
-    _check_consistent(sys, t)
     ctl = ctl or SeriesControl()
     xi, d = t.xi, sys.d
     w = 2.0 * math.pi * xi
@@ -424,7 +389,6 @@ def free_energy_mode_integral(
     threshold, for conducting pairs at separations 2d and d.
     """
     _require_boyer(sys, "mode-integral")
-    _check_consistent(sys, t)
     xi = t.xi
     parts = []
     qerr = 0.0
@@ -442,23 +406,24 @@ def free_energy_mode_integral(
         if n > 10**6:
             raise SlowConvergenceError("mode integral: threshold sum too long")
     f_val = math.fsum(parts)
-    thermal = f_val / (math.pi * t.beta**3)
+    beta = t.beta(sys.d)
+    thermal = f_val / (math.pi * beta**3)
     value = zero_temperature_energy(sys) - thermal
-    err = (qerr + abs(j1)) / (math.pi * t.beta**3) + 1e-15 * abs(value)
+    err = (qerr + abs(j1)) / (math.pi * beta**3) + 1e-15 * abs(value)
     return EvalResult(value, err, 2 * n, "mode-integral")
 
 
 def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
     """Closed-form low-temperature (xi <~ 0.1) asymptotics, both systems."""
-    _check_consistent(sys, t)
-    beta, d = t.beta, sys.d
+    d = sys.d
+    beta = t.beta(d)
     if sys.kind is PlateKind.BOYER_MIXED:
         return zero_temperature_energy(sys) - (
             1.0 / (math.pi * beta**3) + 1.0 / (2.0 * d * beta * beta)
         ) * math.exp(-math.pi * beta / (2.0 * d))
     return (
         -math.pi**2 / (720.0 * d**3)
-        - riemann_zeta(3.0) / (2.0 * math.pi * beta**3)
+        - ZETA3 / (2.0 * math.pi * beta**3)
         - (1.0 / (math.pi * beta**3) + 1.0 / (d * beta * beta))
         * math.exp(-math.pi * beta / d)
     )
@@ -473,25 +438,34 @@ def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
     piece flips sign relative to the plain conducting case.  Verified
     against the Poisson representation over xi in [1, 3].
     """
-    _check_consistent(sys, t)
-    beta, d = t.beta, sys.d
+    d = sys.d
+    beta = t.beta(d)
     sb = -math.pi**2 * d / (45.0 * beta**4)
     expo = math.exp(-4.0 * math.pi * d / beta)
-    z3 = riemann_zeta(3.0)
     if sys.kind is PlateKind.BOYER_MIXED:
         return (
             sb
-            + 3.0 / 32.0 * z3 / (math.pi * d * d * beta)
+            + 3.0 / 32.0 * ZETA3 / (math.pi * d * d * beta)
             + (1.0 / (4.0 * math.pi * d * d * beta) + 1.0 / (d * beta * beta)) * expo
         )
     return (
         sb
-        - z3 / (8.0 * math.pi * d * d * beta)
+        - ZETA3 / (8.0 * math.pi * d * d * beta)
         - (1.0 / (4.0 * math.pi * beta * d * d) + 1.0 / (d * beta * beta)) * expo
     )
 
 
-_COTH_POISSON_SPLIT = 0.4  # router threshold in xi, fixed by the equivalence grid
+def _from_profile(
+    sys: PlateSystem, t: ThermalPoint, f: EvalResult, sign: float = 1.0
+) -> EvalResult:
+    """F/L^2 = E_0 - f(xi)/(pi beta^3) from the scaled thermal profile f."""
+    q = 1.0 / (math.pi * t.beta(sys.d) ** 3)
+    return EvalResult(
+        zero_temperature_energy(sys) - sign * q * f.value,
+        q * f.abs_err_est,
+        f.terms_used,
+        f.rep,
+    )
 
 
 def evaluate_free_energy(
@@ -500,19 +474,24 @@ def evaluate_free_energy(
     ctl: SeriesControl | None = None,
     rep: RepresentationKind | str = "auto",
 ) -> EvalResult:
-    """Evaluate F/L^2 in the requested representation ('auto' routes)."""
+    """Evaluate F/L^2 in the requested representation ('auto' routes).
+
+    ``bessel`` is an alias of ``double``: the Macdonald-function sum is the
+    double sum term for term, so both run the one double-sum engine.
+    """
+    if rep == "auto":
+        return free_energy_auto(sys, t.xi, ctl)
     ctl = ctl or SeriesControl()
-    rep = RepresentationKind(rep) if rep != "auto" else rep
+    rep = RepresentationKind(rep)
+    if rep is RepresentationKind.ASYMPTOTIC_LOW:
+        return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")
+    if rep is RepresentationKind.ASYMPTOTIC_HIGH:
+        return EvalResult(free_energy_high_T(sys, t), 0.0, 0, "high")
     if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
-        _check_consistent(sys, t)
-        if rep == "auto" or rep is RepresentationKind.COTH_SINGLE:
+        if rep is RepresentationKind.COTH_SINGLE:
             r = f_conducting_single(t.xi, ctl)
         elif rep is RepresentationKind.LATTICE:
             r = f_conducting_lattice(t.xi, ctl)
-        elif rep is RepresentationKind.ASYMPTOTIC_LOW:
-            return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")
-        elif rep is RepresentationKind.ASYMPTOTIC_HIGH:
-            return EvalResult(free_energy_high_T(sys, t), 0.0, 0, "high")
         else:
             raise UnsupportedRepresentationError(
                 f"representation '{rep.value}' is not available for "
@@ -520,44 +499,16 @@ def evaluate_free_energy(
             )
         q = sys.d**-3
         return EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
-    if rep == "auto":
-        rep = (
-            RepresentationKind.COTH_SINGLE
-            if t.xi < _COTH_POISSON_SPLIT
-            else RepresentationKind.POISSON
-        )
     if rep is RepresentationKind.COTH_SINGLE:
-        _check_consistent(sys, t)
-        f = f_scaled_single(t.xi, ctl)
-        q = 1.0 / (math.pi * t.beta**3)
-        return EvalResult(
-            zero_temperature_energy(sys) - q * f.value,
-            q * f.abs_err_est,
-            f.terms_used,
-            "coth",
-        )
-    if rep is RepresentationKind.DOUBLE_SUM:
-        _check_consistent(sys, t)
-        f = f_scaled_double(t.xi, ctl)
-        q = 1.0 / (math.pi * t.beta**3)
-        return EvalResult(
-            zero_temperature_energy(sys) - q * f.value,
-            q * f.abs_err_est,
-            f.terms_used,
-            "double",
-        )
-    if rep is RepresentationKind.BESSEL:
-        return free_energy_bessel(sys, t, ctl)
+        return _from_profile(sys, t, f_scaled_single(t.xi, ctl))
+    if rep in (RepresentationKind.DOUBLE_SUM, RepresentationKind.BESSEL):
+        return _from_profile(sys, t, f_scaled_double(t.xi, ctl), _BESSEL_THERMAL_SIGN)
     if rep is RepresentationKind.POISSON:
         return free_energy_poisson(sys, t, ctl)
     if rep is RepresentationKind.LATTICE:
         return free_energy_lattice(sys, t, ctl)
     if rep is RepresentationKind.MODE_INTEGRAL:
         return free_energy_mode_integral(sys, t)
-    if rep is RepresentationKind.ASYMPTOTIC_LOW:
-        return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")
-    if rep is RepresentationKind.ASYMPTOTIC_HIGH:
-        return EvalResult(free_energy_high_T(sys, t), 0.0, 0, "high")
     raise UnsupportedRepresentationError(f"unknown representation {rep!r}")
 
 
@@ -566,11 +517,9 @@ def free_energy_auto(
 ) -> EvalResult:
     """Routed evaluation by scaled temperature; xi = 0 is the exact
     zero-temperature limit (removable)."""
-    if xi < 0.0:
-        raise DomainError("xi must be nonnegative")
-    # once exp(-1/(2 xi)) is exact zero every thermal correction has
-    # underflowed and beta = d/(pi xi) may not even be representable
-    if xi == 0.0 or math.exp(-0.5 / xi) == 0.0:
+    route = _route(xi)
+    if route == "zero-T":
         return EvalResult(zero_temperature_energy(sys), 0.0, 0, "zero-T")
-    t = ThermalPoint.from_xi(xi, sys.d)
-    return evaluate_free_energy(sys, t, ctl, "auto")
+    if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
+        route = "coth"  # the conductor single sum converges at every xi
+    return evaluate_free_energy(sys, ThermalPoint(xi), ctl, route)

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InternalConsistencyError, SlowConvergenceError
+from .errors import InternalConsistencyError, SlowConvergenceError
 from .free_energy import (
-    PlateKind,
+    _POISSON_XI_FLOOR,
     PlateSystem,
     ThermalPoint,
-    f_scaled_single,
     _require_boyer,
+    _route,
+    f_scaled_single,
 )
 from .specfun import (
+    ZETA3,
     EvalResult,
     SeriesControl,
     coth_minus_one,
     coth_stable,
     inv_sinh_stable,
-    riemann_zeta,
     sum_until,
 )
 
@@ -38,16 +39,6 @@ __all__ = [
     "pressure_high_T",
     "evaluate_pressure",
 ]
-
-
-def _check_point(t: ThermalPoint, d: float):
-    if not d > 0.0:
-        raise DomainError("plate separation d must be positive")
-    xi = d / (math.pi * t.beta)
-    if abs(xi - t.xi) > 1e-12 * xi:
-        raise DomainError(
-            f"ThermalPoint.xi={t.xi} inconsistent with d/(pi beta)={xi}"
-        )
 
 
 def pressure_zero_T(sys: PlateSystem) -> float:
@@ -94,7 +85,7 @@ def pressure_net_dfdxi(
     difference of the scaled free energy; disagreement beyond 1e-6
     relative raises ``InternalConsistencyError``.
     """
-    _check_point(t, d)
+    sys = PlateSystem(d)  # validates d
     ctl = ctl or SeriesControl()
     xi = t.xi
     dfd = _df_dxi_terms(xi, ctl)
@@ -115,7 +106,7 @@ def pressure_net_dfdxi(
     # 1/(pi^2 beta^4) written via xi so huge beta underflows instead of
     # overflowing
     q = (math.pi * xi / d) ** 4 / math.pi**2
-    value = pressure_zero_T(PlateSystem(d)) + q * dfd.value
+    value = pressure_zero_T(sys) + q * dfd.value
     return EvalResult(value, q * dfd.abs_err_est + 1e-16 * abs(value), dfd.terms_used, "dfdxi")
 
 
@@ -127,9 +118,7 @@ def pressure_thermal_log(
     Exposed primarily for cross-validation: pressure_zero_T plus this
     value reproduces the other net-pressure forms.
     """
-    _check_point(t, d)
-    if not t.xi > 0.0:
-        raise DomainError("pressure_thermal_log requires xi > 0")
+    PlateSystem(d)  # validates d
     ctl = ctl or SeriesControl()
     xi = t.xi
     rr = math.exp(-0.5 / xi)
@@ -147,15 +136,12 @@ def pressure_thermal_log(
         return 2.0 * abs(tn) * rr / (1.0 - rr)
 
     total, bound, n = sum_until(term, tail, ctl, "pressure_thermal_log")
-    q = -1.0 / (math.pi**2 * t.beta**4 * xi**3)
+    q = -1.0 / (math.pi**2 * t.beta(d) ** 4 * xi**3)
     value = q * total
     return EvalResult(value, abs(q) * bound + 1e-16 * abs(value), n, "thermal-log")
 
 
-_XI_FLOOR = 0.05
-
-
-def _coth_sum_second_derivative(xi: float, c: float, ctl: SeriesControl, z3: float):
+def _coth_sum_second_derivative(xi: float, c: float, ctl: SeriesControl):
     """(d^2/dxi^2)[(1/xi) sum_m coth(c m xi)/m^3], exponentially convergent.
 
     The constant part of coth sums to zeta(3), contributing 2 zeta(3)/xi^3
@@ -180,10 +166,10 @@ def _coth_sum_second_derivative(xi: float, c: float, ctl: SeriesControl, z3: flo
         return 2.0 * abs(tm) * rr / (1.0 - rr)
 
     s, bound, n = sum_until(term, tail, ctl, "coth_sum_second_derivative")
-    return 2.0 * z3 / xi**3 + s, bound, n
+    return 2.0 * ZETA3 / xi**3 + s, bound, n
 
 
-def _coth_sum_value(xi: float, c: float, ctl: SeriesControl, z3: float):
+def _coth_sum_value(xi: float, c: float, ctl: SeriesControl):
     """(1/xi) sum_m coth(c m xi)/m^3 via the same zeta(3) split."""
     rr = math.exp(-2.0 * c * xi)
 
@@ -194,14 +180,14 @@ def _coth_sum_value(xi: float, c: float, ctl: SeriesControl, z3: float):
         return 2.0 * abs(tm) * rr / (1.0 - rr)
 
     s, _, _ = sum_until(term, tail, ctl, "coth_sum_value")
-    return (z3 + s) / xi
+    return (ZETA3 + s) / xi
 
 
 def pressure_poisson(
     t: ThermalPoint,
     d: float,
     ctl: SeriesControl | None = None,
-    xi_floor: float = _XI_FLOOR,
+    xi_floor: float = _POISSON_XI_FLOOR,
 ) -> EvalResult:
     """All-temperature net pressure from the Poisson-resummed form.
 
@@ -209,24 +195,23 @@ def pressure_poisson(
     with S(c) = (1/xi) sum_m coth(c m xi)/m^3 and analytic second
     derivatives, each validated against a second central difference.
     """
-    _check_point(t, d)
+    PlateSystem(d)  # validates d
     ctl = ctl or SeriesControl()
-    xi, beta = t.xi, t.beta
+    xi, beta = t.xi, t.beta(d)
     if xi < xi_floor:
         raise SlowConvergenceError(
             f"pressure_poisson converges too slowly below xi={xi_floor}; "
             "use pressure_net_dfdxi"
         )
-    z3 = riemann_zeta(3.0)
     c1, c2 = 4.0 * math.pi**2, 2.0 * math.pi**2
-    d1, b1, n1 = _coth_sum_second_derivative(xi, c1, ctl, z3)
-    d2, b2, n2 = _coth_sum_second_derivative(xi, c2, ctl, z3)
+    d1, b1, n1 = _coth_sum_second_derivative(xi, c1, ctl)
+    d2, b2, n2 = _coth_sum_second_derivative(xi, c2, ctl)
     h = 1e-4 * max(xi, 0.1)
     for c, dd in ((c1, d1), (c2, d2)):
         fd2 = (
-            _coth_sum_value(xi + h, c, ctl, z3)
-            - 2.0 * _coth_sum_value(xi, c, ctl, z3)
-            + _coth_sum_value(xi - h, c, ctl, z3)
+            _coth_sum_value(xi + h, c, ctl)
+            - 2.0 * _coth_sum_value(xi, c, ctl)
+            + _coth_sum_value(xi - h, c, ctl)
         ) / (h * h)
         if abs(dd - fd2) > 1e-6 * max(abs(dd), abs(fd2)):
             raise InternalConsistencyError(
@@ -247,12 +232,12 @@ def pressure_high_T(t: ThermalPoint, d: float) -> float:
     d-derivative of the high-temperature free energy and matches the
     Poisson representation to relative 1e-6 already at beta = 0.1, d = 1.
     """
-    _check_point(t, d)
-    beta = t.beta
+    PlateSystem(d)  # validates d
+    beta = t.beta(d)
     e = math.exp(-4.0 * math.pi * d / beta)
     return (
         math.pi**2 / (45.0 * beta**4)
-        + 3.0 * riemann_zeta(3.0) / (16.0 * math.pi * d**3 * beta)
+        + 3.0 * ZETA3 / (16.0 * math.pi * d**3 * beta)
         + e
         / (2.0 * math.pi * d**3 * beta)
         * (1.0 + 4.0 * math.pi * d / beta + 8.0 * math.pi**2 * d * d / (beta * beta))
@@ -262,25 +247,16 @@ def pressure_high_T(t: ThermalPoint, d: float) -> float:
 def evaluate_pressure(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """Routed net pressure: derivative form at small xi, Poisson above."""
-    ctl = ctl or SeriesControl()
-    if t.xi < 0.4:
-        return pressure_net_dfdxi(t, d, ctl)
-    return pressure_poisson(t, d, ctl)
-
-
-def _thermal_underflows(xi: float) -> bool:
-    # every thermal correction carries exp(-1/(2 xi)); once that is exact
-    # floating-point zero the zero-temperature value is the full answer
-    # (and beta = d/(pi xi) may not even be representable)
-    return math.exp(-0.5 / xi) == 0.0
+    """Routed net pressure at a thermal point (see :func:`pressure_auto`)."""
+    return pressure_auto(d, t.xi, ctl)
 
 
 def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Routed pressure by scaled temperature; xi = 0 is the exact
-    zero-temperature limit (removable)."""
-    if xi < 0.0:
-        raise DomainError("xi must be non-negative")
-    if xi == 0.0 or _thermal_underflows(xi):
+    """Routed pressure by scaled temperature: derivative form at small xi,
+    Poisson above; xi = 0 is the exact zero-temperature limit (removable)."""
+    route = _route(xi)
+    if route == "zero-T":
         return EvalResult(pressure_zero_T(PlateSystem(d)), 0.0, 0, "zero-T")
-    return evaluate_pressure(ThermalPoint.from_xi(xi, d), d, ctl)
+    if route == "coth":
+        return pressure_net_dfdxi(ThermalPoint(xi), d, ctl)
+    return pressure_poisson(ThermalPoint(xi), d, ctl)

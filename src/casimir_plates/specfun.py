@@ -14,6 +14,7 @@ __all__ = [
     "SeriesControl",
     "EvalResult",
     "riemann_zeta",
+    "ZETA3",
     "macdonald_half",
     "coth_stable",
     "coth_minus_one",
@@ -100,6 +101,9 @@ def riemann_zeta(s: float) -> float:
         fact *= (k2 + 1.0) * (k2 + 2.0)
         k2 += 2
     return head + tail + corr
+
+
+ZETA3 = riemann_zeta(3.0)  # Apery's constant, shared by every zeta(3) closed form
 
 
 def macdonald_half(n: int, z: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import free_energy as fe
 from .epstein import EpsteinParams, epstein2_continued, epstein_direct
@@ -21,13 +21,11 @@ from .free_energy import (
     evaluate_free_energy,
     f_conducting_single,
     free_energy_auto,
-    free_energy_bessel,
     free_energy_high_T,
     free_energy_lattice,
     free_energy_low_T,
     free_energy_mode_integral,
     free_energy_poisson,
-    zero_temperature_energy,
 )
 from .pressure import (
     evaluate_pressure,
@@ -74,17 +72,12 @@ def _check(name: str, residual: float, tol: float) -> Check:
     return Check(name, residual, tol, residual <= tol)
 
 
-def _max_over(items: Iterable[float]) -> float:
-    return max(items)
-
-
 def _representation_equivalence(grid, out: list):
     sys = PlateSystem(1.0)
-    dev = {"bessel": 0.0, "double": 0.0, "poisson": 0.0, "lattice": 0.0, "mode-integral": 0.0}
+    dev = {"double": 0.0, "poisson": 0.0, "lattice": 0.0, "mode-integral": 0.0}
     for xi in grid:
         t = ThermalPoint.from_xi(xi, 1.0)
         ref = evaluate_free_energy(sys, t, _CTL, "coth").value
-        dev["bessel"] = max(dev["bessel"], abs(free_energy_bessel(sys, t, _CTL).value - ref))
         dev["double"] = max(dev["double"], abs(evaluate_free_energy(sys, t, _CTL, "double").value - ref))
         dev["lattice"] = max(dev["lattice"], abs(free_energy_lattice(sys, t, _CTL).value - ref))
         dev["mode-integral"] = max(
@@ -92,7 +85,6 @@ def _representation_equivalence(grid, out: list):
         )
         if xi >= 0.1:
             dev["poisson"] = max(dev["poisson"], abs(free_energy_poisson(sys, t, _CTL).value - ref))
-    out.append(_check("equivalence/bessel-vs-coth", dev["bessel"], 1e-8))
     out.append(_check("equivalence/double-vs-coth", dev["double"], 1e-8))
     out.append(_check("equivalence/poisson-vs-coth", dev["poisson"], 1e-8))
     out.append(_check("equivalence/mode-integral-vs-coth", dev["mode-integral"], 1e-6))
@@ -101,9 +93,9 @@ def _representation_equivalence(grid, out: list):
 
 def _tis(grid, out: list):
     pts = [xi for xi in (0.1, 0.5, 1.0, 2.0) if grid is GRIDS["default"] or xi in grid]
-    r1 = _max_over(tis_residual_f1(xi, 1.0, _CTL) for xi in pts)
-    r2 = _max_over(tis_residual_f2(xi, 1.0, _CTL) for xi in pts)
-    rn = _max_over(tis_residual_nontrivial(xi, _CTL) for xi in pts)
+    r1 = max(tis_residual_f1(xi, 1.0, _CTL) for xi in pts)
+    r2 = max(tis_residual_f2(xi, 1.0, _CTL) for xi in pts)
+    rn = max(tis_residual_nontrivial(xi, _CTL) for xi in pts)
     out.append(_check("tis/f1", r1, 1e-8))
     out.append(_check("tis/f2", r2, 1e-8))
     out.append(_check("tis/nontrivial", rn, 1e-8))
@@ -129,7 +121,7 @@ def _identities(out: list):
 def _pressure(grid, out: list):
     worst_pair = 0.0
     for xi in grid:
-        if xi < 0.05:
+        if xi < fe._POISSON_XI_FLOOR:
             continue
         t = ThermalPoint.from_xi(xi, 1.0)
         a = pressure_net_dfdxi(t, 1.0, _CTL).value
@@ -222,9 +214,9 @@ def _zero_t_anchors(out: list):
 def run_all(grid: str = "default", tamper: str | None = None) -> list:
     """Run the full invariant battery; returns a list of Check records.
 
-    ``tamper='bessel-sign'`` flips the sign of the Bessel representation's
-    thermal part for the duration of the run -- a harness self-test that
-    must make the equivalence check fail.
+    ``tamper='bessel-sign'`` flips the sign of the double-sum (``bessel``)
+    engine's thermal part for the duration of the run -- a harness
+    self-test that must make the equivalence check fail.
     """
     points = GRIDS[grid]
     checks: list[Check] = []

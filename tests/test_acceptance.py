@@ -107,7 +107,7 @@ def test_acceptance_03_pressure_consistency():
         a = pressure_net_dfdxi(t, 1.0, TIGHT).value
         b = pressure_poisson(t, 1.0, TIGHT).value
         worst_pair = max(worst_pair, abs(a - b))
-        beta = t.beta
+        beta = t.beta(1.0)
 
         def F(d):
             return free_energy_auto(

@@ -73,37 +73,63 @@ class TestEval:
         assert v == pytest.approx(-341.601883157432487, rel=1e-10)
 
 
+def usage_reason(capsys) -> str:
+    """The reason after 'error:' on stderr; empty if none was printed."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.partition("error:")[2].strip()
+
+
 class TestUsageErrors:
-    def test_beta_and_xi_both_given(self):
+    def test_beta_and_xi_both_given(self, capsys):
         assert run_main(
             ["eval", "--quantity", "pressure", "--beta", "1", "--xi", "0.5"]
         ) == 2
+        assert "--beta" in usage_reason(capsys)
 
-    def test_neither_beta_nor_xi(self):
+    def test_neither_beta_nor_xi(self, capsys):
         assert run_main(["eval", "--quantity", "pressure"]) == 2
+        assert "--xi" in usage_reason(capsys)
 
-    def test_negative_beta(self):
+    def test_negative_beta(self, capsys):
         assert run_main(["eval", "--quantity", "pressure", "--beta", "-1"]) == 2
+        assert "--beta" in usage_reason(capsys)
 
-    def test_unknown_subcommand(self):
+    def test_negative_xi(self, capsys):
+        assert run_main(["eval", "--quantity", "pressure", "--xi", "-1"]) == 2
+        assert "--xi" in usage_reason(capsys)
+
+    def test_unknown_subcommand(self, capsys):
         assert run_main(["integrate"]) == 2
+        assert usage_reason(capsys)
 
-    def test_bad_quantity(self):
+    def test_bad_quantity(self, capsys):
         assert run_main(["eval", "--quantity", "entropy", "--xi", "1"]) == 2
+        assert "--quantity" in usage_reason(capsys)
 
-    def test_sweep_bad_range(self, tmp_path):
+    def test_sweep_bad_range(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run_main(
             ["sweep", "--quantity", "pressure", "--xi-min", "2", "--xi-max", "1",
              "--out", out]
         ) == 2
+        assert "--xi-min" in usage_reason(capsys)
 
-    def test_sweep_log_needs_positive_min(self, tmp_path):
+    def test_sweep_too_few_points(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert run_main(
+            ["sweep", "--quantity", "pressure", "--xi-min", "0.1", "--xi-max", "1",
+             "--points", "1", "--out", out]
+        ) == 2
+        assert "--points" in usage_reason(capsys)
+
+    def test_sweep_log_needs_positive_min(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run_main(
             ["sweep", "--quantity", "pressure", "--xi-min", "0", "--xi-max", "1",
              "--spacing", "log", "--out", out]
         ) == 2
+        assert "--spacing log" in usage_reason(capsys)
 
 
 class TestEvalErrors:
@@ -127,6 +153,24 @@ class TestEvalErrors:
         assert run_main(
             ["eval", "--quantity", "free_energy", "--xi", "0.01", "--rep", "poisson"]
         ) == 3
+
+    @pytest.mark.parametrize("quantity", ["free_energy", "pressure"])
+    @pytest.mark.parametrize(
+        "point,named",
+        [
+            pytest.param(["--xi", "0.5", "--d", "inf"], "d must be finite", id="d-inf"),
+            pytest.param(["--xi", "0.5", "--d", "nan"], "d must be finite", id="d-nan"),
+            pytest.param(["--xi", "inf"], "xi must be finite", id="xi-inf"),
+            pytest.param(["--xi", "nan"], "xi must be finite", id="xi-nan"),
+            # xi = d/(pi beta) overflows
+            pytest.param(["--beta", "1e-320"], "xi must be finite", id="beta-tiny"),
+        ],
+    )
+    def test_nonfinite_input_is_a_domain_error(self, quantity, point, named, capsys):
+        assert run_main(["eval", "--quantity", quantity, *point]) == 3
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert named in captured.err
 
 
 class TestSweep:
@@ -193,6 +237,16 @@ class TestFigures:
         assert len(lines) >= 201  # header + at least 200 points
         assert len(lines[0].split(",")) == ncols
         assert all(len(r.split(",")) == ncols for r in lines[1:])
+
+    def test_figure_points_are_honoured(self, tmp_path):
+        out = str(tmp_path / "fig1.csv")
+        assert run_main(["figure", "1", "--points", "50", "--out", out]) == 0
+        assert len(open(out).read().splitlines()) == 1 + 50
+
+    def test_figure_needs_two_points(self, tmp_path, capsys):
+        out = str(tmp_path / "fig1.csv")
+        assert run_main(["figure", "1", "--points", "1", "--out", out]) == 2
+        assert "--points" in usage_reason(capsys)
 
     def test_figure3_matches_pressure_at_origin(self, tmp_path):
         out = str(tmp_path / "fig3.csv")

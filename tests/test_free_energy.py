@@ -137,7 +137,7 @@ class TestRepresentationEquivalence:
         via_bessel = evaluate_free_energy(sys, t, TIGHT, "bessel").value
         decomposed = (
             zero_temperature_energy(sys)
-            - f_scaled_single(xi, TIGHT).value / (math.pi * t.beta**3)
+            - f_scaled_single(xi, TIGHT).value / (math.pi * t.beta(1.0) ** 3)
         )
         assert via_bessel == pytest.approx(decomposed, abs=1e-10)
 
@@ -240,7 +240,7 @@ class TestConductorRepresentations:
         # F_boyer(d) = F_cond(2d) - F_cond(d) must survive the asymptotics
         d, xi = 1.0, 2.0
         tb = ThermalPoint.from_xi(xi, d)
-        t2 = ThermalPoint.from_beta(tb.beta, 2.0 * d)
+        t2 = ThermalPoint.from_beta(tb.beta(d), 2.0 * d)
         lhs = free_energy_high_T(boyer(d), tb)
         rhs = free_energy_high_T(conductor(2.0 * d), t2) - free_energy_high_T(
             conductor(d), tb
@@ -261,16 +261,34 @@ class TestConductorRepresentations:
 
 
 class TestValidation:
-    def test_inconsistent_thermal_point(self):
-        t = ThermalPoint(beta=1.0, xi=0.5)  # xi should be 1/pi for d=1
-        with pytest.raises(DomainError):
-            evaluate_free_energy(boyer(), t, TIGHT, "coth")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_thermal_point_rejects_nonfinite(self, bad):
+        with pytest.raises(DomainError, match="xi"):
+            ThermalPoint(bad)
+        with pytest.raises(DomainError, match="beta"):
+            ThermalPoint.from_beta(bad, 1.0)
+        with pytest.raises(DomainError, match="d must be finite"):
+            PlateSystem(d=bad)
+        with pytest.raises(DomainError, match="xi"):
+            free_energy_auto(boyer(), bad)
+
+    def test_beta_derived_from_xi(self):
+        t = ThermalPoint.from_beta(2.0, 3.0)
+        assert t.xi == 3.0 / (math.pi * 2.0)
+        assert t.beta(3.0) == 3.0 / (math.pi * t.xi)
+        assert ThermalPoint.from_xi(0.5, 7.0) == ThermalPoint(0.5)
+        with pytest.raises(DomainError, match="xi"):
+            ThermalPoint.from_beta(1e-320, 1.0)  # xi overflows
 
     def test_nonpositive_xi_or_beta(self):
         with pytest.raises(DomainError):
-            ThermalPoint(beta=-1.0, xi=0.5)
+            ThermalPoint.from_beta(-1.0, 1.0)
         with pytest.raises(DomainError):
-            ThermalPoint(beta=1.0, xi=0.0)
+            ThermalPoint.from_beta(0.0, 1.0)
+        with pytest.raises(DomainError):
+            ThermalPoint(xi=0.0)
+        with pytest.raises(DomainError):
+            ThermalPoint(xi=-0.5)
         with pytest.raises(DomainError):
             PlateSystem(d=0.0)
         with pytest.raises(DomainError):

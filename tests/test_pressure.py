@@ -190,9 +190,12 @@ class TestValidation:
             pressure_auto(-1.0, 0.5)
         with pytest.raises(DomainError):
             pressure_auto(1.0, -0.5)
-        t = ThermalPoint(beta=1.0, xi=0.5)  # inconsistent with d = 1
-        with pytest.raises(DomainError):
-            pressure_net_dfdxi(t, 1.0, TIGHT)
+        t = ThermalPoint.from_xi(0.5, 1.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="d must be"):
+                pressure_net_dfdxi(t, bad, TIGHT)
+        with pytest.raises(DomainError, match="xi"):
+            pressure_auto(1.0, math.inf)
 
     def test_poisson_floor(self):
         t = ThermalPoint.from_xi(0.01, 1.0)

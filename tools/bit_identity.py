@@ -1,0 +1,126 @@
+"""Check that two source trees give bit-identical routed outputs.
+
+    python3 tools/bit_identity.py OTHER_TREE [--points 10000] [--seed 0]
+
+Runs one child interpreter per tree (this one and OTHER_TREE, e.g. a
+checkout of the parent commit), each with PYTHONPATH=<tree>/src.  Every
+child evaluates, at the same seeded log-uniform points d in [1e-2, 1e2]
+and xi in [1e-3, 10] plus a few edge points (xi = 0 and xi whose thermal
+factor underflows), ``free_energy_auto`` for both plate pairs and
+``pressure_auto``, and records (value, abs_err_est, terms_used, rep) with
+floats in hex.  It also runs seeded ``casimir eval`` and ``sweep``
+commands with ``--rep auto`` (given ``--xi`` or ``--beta``) in-process and
+records their stdout and CSV bytes.  Exits 1 on the first difference.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+EDGE_XI = (0.0, 1e-5, 5e-4, 6.7e-4, 6.8e-4)
+QUANTITIES = ("free_energy", "pressure", "f_scaled", "p_scaled")
+
+
+def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _outcome(fn):
+    try:
+        r = fn()
+    except Exception as exc:  # the error itself must match between trees
+        return ["error", type(exc).__name__, str(exc)]
+    return [r.value.hex(), r.abs_err_est.hex(), r.terms_used, r.rep]
+
+
+def _cli_run(cli, argv, csv_path=None):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    data = None
+    if csv_path is not None and os.path.exists(csv_path):
+        with open(csv_path, encoding="utf-8") as fh:
+            data = fh.read()
+        os.remove(csv_path)
+    return [code, out.getvalue(), data]
+
+
+def emit(points: int, seed: int) -> dict:
+    """Child side: evaluate everything at the seeded inputs."""
+    from casimir_plates import PlateSystem, cli, free_energy_auto, pressure_auto
+
+    rng = random.Random(seed)
+    pts = [(_loguniform(rng, 1e-2, 1e2), _loguniform(rng, 1e-3, 10.0)) for _ in range(points)]
+    pts += [(d, xi) for d in (0.01, 1.0, 100.0) for xi in EDGE_XI]
+    rows = []
+    for d, xi in pts:
+        rows.append([
+            _outcome(lambda: free_energy_auto(PlateSystem(d), xi)),
+            _outcome(lambda: free_energy_auto(PlateSystem(d, "conductor"), xi)),
+            _outcome(lambda: pressure_auto(d, xi)),
+        ])
+    cmds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "sweep.csv")
+        for i in range(400):
+            d = _loguniform(rng, 1e-2, 1e2)
+            xi = _loguniform(rng, 1e-3, 10.0)
+            thermal = ["--xi", repr(xi)] if i % 2 else ["--beta", repr(d / (math.pi * xi))]
+            system = "conductor" if i % 4 == 3 else "boyer"
+            argv = ["eval", "--quantity", QUANTITIES[i % 4], "--system", system,
+                    "--d", repr(d), *thermal]
+            cmds.append(_cli_run(cli, argv))
+        for q in QUANTITIES:
+            for spacing in ("linear", "log"):
+                argv = ["sweep", "--quantity", q, "--xi-min", "1e-3", "--xi-max", "10",
+                        "--points", "300", "--spacing", spacing, "--out", csv_path]
+                cmds.append(_cli_run(cli, argv, csv_path))
+        for fid in ("1", "2", "3"):
+            cmds.append(_cli_run(cli, ["figure", fid, "--out", csv_path], csv_path))
+    return {"points": [[d.hex(), xi.hex()] for d, xi in pts], "rows": rows, "cli": cmds}
+
+
+def _run_tree(tree: str, points: int, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--emit", str(points), str(seed)],
+        env=env, capture_output=True, text=True, check=True, cwd=tree,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--emit"]:
+        print(json.dumps(emit(int(argv[1]), int(argv[2]))))
+        return 0
+    other = argv[0]
+    points = int(argv[argv.index("--points") + 1]) if "--points" in argv else 10000
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    a, b = _run_tree(here, points, seed), _run_tree(other, points, seed)
+    assert a["points"] == b["points"]
+    names = ("free_energy_auto boyer", "free_energy_auto conductor", "pressure_auto")
+    for (d, xi), ra, rb in zip(a["points"], a["rows"], b["rows"]):
+        for name, x, y in zip(names, ra, rb):
+            if x != y:
+                print(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
+                return 1
+    for i, (x, y) in enumerate(zip(a["cli"], b["cli"])):
+        if x != y:
+            print(f"DIFF cli command {i}: {x[:2]} != {y[:2]}")
+            return 1
+    n = len(a["rows"])
+    print(f"identical: {n} points x {len(names)} routed functions = {n * len(names)} "
+          f"outcomes, {len(a['cli'])} CLI commands")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
