@@ -96,25 +96,19 @@ def _ctl(args) -> SeriesControl:
 
 
 def _point_quantity(quantity: str, system: str, rep: str, xi: float, d: float, ctl) -> EvalResult:
-    sys_ = PlateSystem(d, system)
+    sys_ = PlateSystem(d, system)  # validates d
+    if quantity in ("f_scaled", "p_scaled"):
+        # d^3 F and d^4 P depend on xi alone: evaluate them at d = 1
+        sys_ = PlateSystem(1.0, system)
     if quantity in ("free_energy", "f_scaled"):
         if rep == "auto" or _route(xi) == "zero-T":
-            r = free_energy_auto(sys_, xi, ctl)
-        else:
-            r = evaluate_free_energy(sys_, ThermalPoint.from_xi(xi, d), ctl, rep)
-        if quantity == "f_scaled":
-            q = d**3
-            r = EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
-        return r
+            return free_energy_auto(sys_, xi, ctl)
+        return evaluate_free_energy(sys_, ThermalPoint.from_xi(xi, d), ctl, rep)
     if sys_.kind is not PlateKind.BOYER_MIXED:
         raise CasimirError("pressure is provided for the boyer system only")
     if rep != "auto":
         raise CasimirError("pressure evaluation is routed; use --rep auto")
-    r = pressure_auto(d, xi, ctl)
-    if quantity == "p_scaled":
-        q = d**4
-        r = EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
-    return r
+    return pressure_auto(sys_.d, xi, ctl)
 
 
 def _resolve_xi(args) -> float:

@@ -5,16 +5,20 @@ Conventions (natural units, hbar = c = k_B = 1):
 * ``d`` is the plate separation, ``beta`` the inverse temperature and
   ``xi = d / (pi beta)`` the dimensionless scaled temperature.
 * All free energies are F/L^2, energy per unit area, units length^-3.
-* For the mixed (conducting + permeable) pair the free energy splits as
-  F/L^2 = (7/8) pi^2/(720 d^3) - f(xi)/(pi beta^3) with f > 0 the scaled
-  thermal profile; the different representations below are numerically
-  equivalent evaluations of the same function and are cross-checked
-  against each other by the test suite.
+
+One conductor kernel carries the production paths: the conducting-pair
+profile g(x) = a^3 F_c, or p(x) = a^4 P_c = 3 g - x g', from the coth series
+(tail ratio e^(-1/x)) or its Poisson resummation (e^(-4 pi^2 x)); the router
+switches at x = 1/(2 pi), where the two ratios meet.  The Boyer pair is the
+split F = F1(2d) - F2(d): d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
+The other representations are independent evaluations, cross-checked
+against the kernel by the tests and by ``casimir verify``.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys as _sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,9 +34,6 @@ from .specfun import (
     ZETA3,
     EvalResult,
     SeriesControl,
-    coth_minus_one,
-    coth_stable,
-    inv_sinh_stable,
     riemann_zeta,
     sum_until,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "ThermalPoint",
     "RepresentationKind",
     "zero_temperature_energy",
-    "f_scaled_single",
     "f_scaled_double",
     "free_energy_poisson",
     "free_energy_lattice",
@@ -122,8 +122,11 @@ class RepresentationKind(str, enum.Enum):
 # double-sum engine's thermal part; never set in normal operation
 _BESSEL_THERMAL_SIGN = 1.0
 
-_COTH_POISSON_SPLIT = 0.4  # router threshold in xi, fixed by the equivalence grid
+# the self-dual point of the conductors' temperature inversion, where the
+# coth tail ratio e^(-1/xi) equals the Poisson one e^(-4 pi^2 xi)
+_COTH_POISSON_SPLIT = 1.0 / (2.0 * math.pi)
 _POISSON_XI_FLOOR = 0.05  # both Poisson forms converge too slowly below this xi
+_EPS = _sys.float_info.epsilon
 
 
 def _route(xi: float) -> str:
@@ -151,33 +154,128 @@ def _require_boyer(sys: PlateSystem, rep: str):
 
 def zero_temperature_energy(sys: PlateSystem) -> float:
     """Zero-temperature Casimir energy per unit area (closed form)."""
-    e_cond = -math.pi**2 / (720.0 * sys.d**3)
-    if sys.kind is PlateKind.BOYER_MIXED:
-        return -0.875 * e_cond
-    return e_cond
+    return _pair(sys, 0.0, "zero-T", None).value
 
 
-def f_scaled_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Scaled free energy f(xi) as a single sum of coth/sinh kernels.
+# closed-form monomials (c, k), i.e. c x^k, of the conducting-pair profile
+# g(x) on each route; the pressure profile p = 3 g - x g' has (3 - k) c x^k
+_MONOMIALS = {
+    "coth": ((-math.pi**2 / 720.0, 0), (-math.pi**2 * ZETA3 / 2.0, 3)),
+    "poisson": ((-math.pi**6 / 45.0, 4), (-ZETA3 / 8.0, 1)),
+}
+# prefactor of the series part of (g, p) on each route
+_SERIES_SCALE = {"coth": (-math.pi**2 / 8.0, math.pi**2 / 4.0), "poisson": (-0.125, -0.25)}
+# each plate pair as halves (a, w): w times the conducting profile at x = a xi
+_HALVES = {
+    PlateKind.BOYER_MIXED: ((2.0, 0.125), (1.0, -1.0)),
+    PlateKind.CONDUCTOR_CONDUCTOR: ((1.0, 1.0),),
+}
+# the monomials of each pair combined over its halves, c sum_h w_h a_h^k:
+# exactly 0 for the Boyer pair's zeta(3) x^3 term
+_PAIR_MONOMIALS = {
+    (kind, route, p): [(c * (3 - k if p else 1) * math.fsum(w * a**k for a, w in halves), k)
+                       for c, k in _MONOMIALS[route]]
+    for kind, halves in _HALVES.items() for route in _MONOMIALS for p in (False, True)
+}
+_DEFAULT_CTL = SeriesControl()
 
-    Every term is strictly positive; the tail is bounded geometrically
-    with ratio exp(-1/(2 xi)).
+
+def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
+    """Series part of the conducting-pair profile g(x), or of p(x).
+
+    Every term is positive.  coth route, s = n/(2x):
+      g: sum_n 4x^3/n^3 (coth s - 1) + 2x^2/n^2 csch^2 s,
+      p: sum_n x coth s csch^2 s / n;
+    Poisson route, u = 2 pi^2 m x:
+      g: sum_m [x (coth u - 1) + 2 pi^2 m x^2 csch^2 u] / m^3,
+      p: the same plus (2 pi^2 m)^2 x^3 coth u csch^2 u in the bracket.
+    With e = e^(-v) and D = 1 - e^(-2v): csch v = 2e/D, coth v - 1 = 2e^2/D.
+    Returns (sum, tail bound, terms) of :func:`sum_until`.
     """
-    if not xi > 0.0:
-        raise DomainError("f_scaled_single requires xi > 0")
-    ctl = ctl or SeriesControl()
-    rr = math.exp(-0.5 / xi)
+    if route == "coth":
+        rate = 1.0 / x
 
-    def term(n):
-        s = 0.5 * n / xi
-        return (2.0 * xi / n + coth_stable(s)) * inv_sinh_stable(s) / (n * n)
+        def term(n):
+            s = 0.5 * n / x
+            e = math.exp(-s)
+            den = -math.expm1(-2.0 * s)
+            ish = 2.0 * e / den
+            if pressure:
+                return x * (1.0 + e * ish) * ish * ish / n
+            return 2.0 * x * x / (n * n) * (2.0 * x / n * e * ish + ish * ish)
 
-    def tail(n, t):
-        return 2.0 * t * rr / (1.0 - rr)
+    else:
+        rate = 4.0 * math.pi**2 * x
+        c = 2.0 * math.pi**2 * x
 
-    total, bound, n = sum_until(term, tail, ctl, "f_scaled_single")
-    q = 0.25 / xi
-    return EvalResult(q * total, q * bound + 1e-16 * q * total, n, "coth")
+        def term(m):
+            u = c * m
+            e = math.exp(-u)
+            ish = 2.0 * e / -math.expm1(-2.0 * u)
+            a = u * ish
+            t = e * ish + a * ish
+            if pressure:
+                t += a * a * (1.0 + e * ish)
+            return x * t / m**3
+
+    # twice the geometric tail r/(1 - r) after the last term, r = e^(-rate)
+    q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+    return sum_until(term, lambda n, t: q * t, ctl, f"conductor {route} series")
+
+
+def _pair_profile(
+    kind: PlateKind, xi: float, route: str, pressure: bool, ctl: SeriesControl | None = None
+):
+    """d^3 F (pressure: d^4 P) of a plate pair, composed from the kernel.
+
+    Returns (value, series part, error bar, terms).  The closed-form
+    monomials are combined over the halves first, so the Boyer pair's
+    zeta(3) x^3 terms cancel exactly.  Route 'zero-T' keeps the monomials
+    alone, with error bar 0 by convention: every series term underflows
+    there.  Otherwise the bar is each half's tail bound and rounding floor
+    plus eps |value| per rounding of the combination and its scaling; a
+    value outside the float range is a DomainError.
+    """
+    series, err, terms = [], 0.0, 0
+    try:
+        parts = [
+            c * xi**k
+            for c, k in _PAIR_MONOMIALS[kind, "poisson" if route == "poisson" else "coth", pressure]
+        ]
+        if route != "zero-T":
+            scale = _SERIES_SCALE[route][pressure]
+            for a, w in _HALVES[kind]:
+                s, bound, n = _conductor_series(a * xi, route, pressure, ctl or _DEFAULT_CTL)
+                series.append(w * scale * s)
+                err += abs(w * scale) * (bound + 8.0 * _EPS * s)
+                terms += n
+            err += 4.0 * _EPS * sum(map(abs, parts))
+        # at most two parts each, so plain sums round once, like fsum; a
+        # non-finite half gives inf or nan here, caught below
+        s_part = sum(series)
+        value = sum(parts) + s_part
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the plate-pair profile at xi={xi!r} overflows the floating-point range")
+    return value, s_part, err + (route != "zero-T") * 2.0 * _EPS * abs(value), terms
+
+
+def _per_area(value: float, err: float, d: float, power: int):
+    """(value, err) times d^-power, one division by d at a time so that no
+    intermediate over- or underflows before the result does."""
+    for _ in range(power):
+        value /= d
+        err /= d
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
+    return value, err
+
+
+def _pair(sys: PlateSystem, xi: float, route: str, ctl: SeriesControl | None) -> EvalResult:
+    """F/L^2 of the plate pair on one route of the conductor kernel."""
+    value, _, err, terms = _pair_profile(sys.kind, xi, route, False, ctl)
+    return EvalResult(*_per_area(value, err, sys.d, 3), terms, route)
 
 
 def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -230,26 +328,6 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     return EvalResult(value, tail_bound + 1e-16 * abs(value), nterms, "double")
 
 
-def _coth_sum_derivative(xi: float, c: float, ctl: SeriesControl):
-    """(d/dxi)[(1/xi) sum_m coth(c m xi)/m^3], exponentially convergent.
-
-    The coth tail is split off as 1 + (coth - 1); the constant part sums
-    to zeta(3) in closed form, leaving only exponentially decaying terms.
-    """
-    rr = math.exp(-2.0 * c * xi)
-
-    def term(m):
-        u = c * m * xi
-        ish = inv_sinh_stable(u)
-        return (-coth_minus_one(u) / (xi * xi) - c * m * ish * ish / xi) / m**3
-
-    def tail(m, tm):
-        return 2.0 * abs(tm) * rr / (1.0 - rr)
-
-    s, bound, n = sum_until(term, tail, ctl, "poisson coth sum")
-    return -ZETA3 / (xi * xi) + s, bound, n
-
-
 def free_energy_poisson(
     sys: PlateSystem,
     t: ThermalPoint,
@@ -258,27 +336,15 @@ def free_energy_poisson(
 ) -> EvalResult:
     """F/L^2 from the Poisson-resummed (high-temperature friendly) form.
 
-    The xi derivative is taken analytically term by term.  Below
-    ``xi_floor`` convergence degrades; callers are redirected to the
+    Below ``xi_floor`` convergence degrades; callers are redirected to the
     coth/double forms.
     """
-    _require_boyer(sys, "poisson")
-    ctl = ctl or SeriesControl()
-    xi = t.xi
-    if xi < xi_floor:
+    if t.xi < xi_floor:
         raise SlowConvergenceError(
             f"poisson representation converges slowly for xi < {xi_floor}; "
             "use the coth or double representation"
         )
-    d = sys.d
-    beta = t.beta(d)
-    d1, b1, n1 = _coth_sum_derivative(xi, 4.0 * math.pi**2, ctl)
-    d2, b2, n2 = _coth_sum_derivative(xi, 2.0 * math.pi**2, ctl)
-    c1 = 1.0 / (32.0 * math.pi**3 * beta**3)
-    c2 = 1.0 / (8.0 * math.pi**3 * beta**3)
-    value = -math.pi**2 * d / (45.0 * beta**4) + c1 * d1 - c2 * d2
-    err = c1 * b1 + c2 * b2 + 1e-15 * abs(value)
-    return EvalResult(value, err, n1 + n2, "poisson")
+    return _pair(sys, t.xi, "poisson", ctl)
 
 
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -308,26 +374,13 @@ def f_conducting_lattice(xi: float, ctl: SeriesControl | None = None) -> EvalRes
 def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Dimensionless conducting-plate free energy d^3 F/L^2 as a single sum.
 
-    Same quantity as :func:`f_conducting_lattice`, but through the
-    coth/sinh^2 kernel sum, which converges exponentially at any xi.
+    Same quantity as :func:`f_conducting_lattice`, through the kernel's coth
+    series, which converges exponentially at any xi.
     """
     if not xi > 0.0:
         raise DomainError("f_conducting_single requires xi > 0")
-    ctl = ctl or SeriesControl()
-    rr = math.exp(-1.0 / xi)
-
-    def term(n):
-        s = 0.5 * n / xi
-        ish = inv_sinh_stable(s)
-        return 4.0 * xi**3 / n**3 * coth_minus_one(s) + 2.0 * xi * xi / (n * n) * ish * ish
-
-    def tail(n, tn):
-        return 2.0 * tn * rr / (1.0 - rr)
-
-    s, bound, n = sum_until(term, tail, ctl, "f_conducting_single")
-    q = math.pi**2 / 8.0
-    value = -math.pi**2 / 720.0 - q * (4.0 * xi**3 * ZETA3 + s)
-    return EvalResult(value, q * bound + 1e-16 * abs(value), n, "coth")
+    value, _, err, terms = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, xi, "coth", False, ctl)
+    return EvalResult(value, err, terms, "coth")
 
 
 def free_energy_lattice(
@@ -455,19 +508,6 @@ def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
     )
 
 
-def _from_profile(
-    sys: PlateSystem, t: ThermalPoint, f: EvalResult, sign: float = 1.0
-) -> EvalResult:
-    """F/L^2 = E_0 - f(xi)/(pi beta^3) from the scaled thermal profile f."""
-    q = 1.0 / (math.pi * t.beta(sys.d) ** 3)
-    return EvalResult(
-        zero_temperature_energy(sys) - sign * q * f.value,
-        q * f.abs_err_est,
-        f.terms_used,
-        f.rep,
-    )
-
-
 def evaluate_free_energy(
     sys: PlateSystem,
     t: ThermalPoint,
@@ -487,24 +527,24 @@ def evaluate_free_energy(
         return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")
     if rep is RepresentationKind.ASYMPTOTIC_HIGH:
         return EvalResult(free_energy_high_T(sys, t), 0.0, 0, "high")
+    if rep is RepresentationKind.COTH_SINGLE:
+        return _pair(sys, t.xi, "coth", ctl)
+    if rep is RepresentationKind.POISSON:
+        return free_energy_poisson(sys, t, ctl)
     if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
-        if rep is RepresentationKind.COTH_SINGLE:
-            r = f_conducting_single(t.xi, ctl)
-        elif rep is RepresentationKind.LATTICE:
-            r = f_conducting_lattice(t.xi, ctl)
-        else:
+        if rep is not RepresentationKind.LATTICE:
             raise UnsupportedRepresentationError(
                 f"representation '{rep.value}' is not available for "
                 "conductor-conductor plates"
             )
-        q = sys.d**-3
-        return EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
-    if rep is RepresentationKind.COTH_SINGLE:
-        return _from_profile(sys, t, f_scaled_single(t.xi, ctl))
+        r = f_conducting_lattice(t.xi, ctl)
+        return EvalResult(*_per_area(r.value, r.abs_err_est, sys.d, 3), r.terms_used, r.rep)
     if rep in (RepresentationKind.DOUBLE_SUM, RepresentationKind.BESSEL):
-        return _from_profile(sys, t, f_scaled_double(t.xi, ctl), _BESSEL_THERMAL_SIGN)
-    if rep is RepresentationKind.POISSON:
-        return free_energy_poisson(sys, t, ctl)
+        # d^3 F = d^3 E_0 - pi^2 xi^3 f(xi), i.e. F = E_0 - f/(pi beta^3)
+        f, q = f_scaled_double(t.xi, ctl), math.pi**2 * t.xi**3
+        g0 = _pair_profile(sys.kind, 0.0, "zero-T", False)[0]
+        value = g0 - _BESSEL_THERMAL_SIGN * q * f.value
+        return EvalResult(*_per_area(value, q * f.abs_err_est, sys.d, 3), f.terms_used, f.rep)
     if rep is RepresentationKind.LATTICE:
         return free_energy_lattice(sys, t, ctl)
     if rep is RepresentationKind.MODE_INTEGRAL:
@@ -516,10 +556,7 @@ def free_energy_auto(
     sys: PlateSystem, xi: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """Routed evaluation by scaled temperature; xi = 0 is the exact
-    zero-temperature limit (removable)."""
-    route = _route(xi)
-    if route == "zero-T":
-        return EvalResult(zero_temperature_energy(sys), 0.0, 0, "zero-T")
-    if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
-        route = "coth"  # the conductor single sum converges at every xi
-    return evaluate_free_energy(sys, ThermalPoint(xi), ctl, route)
+    zero-temperature limit (removable).  On the 'zero-T' route only the
+    closed-form terms survive: the conducting pair keeps its
+    -pi^2 zeta(3) xi^3/(2 d^3)."""
+    return _pair(sys, xi, _route(xi), ctl)

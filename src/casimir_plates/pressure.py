@@ -1,11 +1,13 @@
 """Net Casimir pressure on the mixed conducting/permeable plate pair.
 
-Positive pressure means repulsion (the plates are pushed apart).  Three
-independent evaluations are provided -- the xi-derivative of the scaled
-free energy, the thermal-log series, and the Poisson-resummed
-all-temperature form -- plus the high-temperature closed form.  Every
-analytic derivative is cross-checked internally against finite
-differences of the underlying sums.
+Positive pressure means repulsion (the plates are pushed apart).  The
+routed forms compose the conductor kernel's pressure profile,
+d^4 P = p(2 xi)/8 - p(xi) with p = 3 g - x g', on its coth route
+(``dfdxi``) or its Poisson route (``poisson``).  Each composed value runs
+one in-path check of P = 3F - xi dF/dxi against a central difference of the
+composed free-energy profile, where that difference is accurate enough.
+The thermal-log series and the high-temperature closed form are
+independent evaluations.
 """
 
 from __future__ import annotations
@@ -15,21 +17,15 @@ import math
 from .errors import InternalConsistencyError, SlowConvergenceError
 from .free_energy import (
     _POISSON_XI_FLOOR,
+    PlateKind,
     PlateSystem,
     ThermalPoint,
+    _pair_profile,
+    _per_area,
     _require_boyer,
     _route,
-    f_scaled_single,
 )
-from .specfun import (
-    ZETA3,
-    EvalResult,
-    SeriesControl,
-    coth_minus_one,
-    coth_stable,
-    inv_sinh_stable,
-    sum_until,
-)
+from .specfun import ZETA3, EvalResult, SeriesControl, sum_until
 
 __all__ = [
     "pressure_zero_T",
@@ -44,70 +40,49 @@ __all__ = [
 def pressure_zero_T(sys: PlateSystem) -> float:
     """Zero-temperature net pressure, +(7/8) pi^2/(240 d^4)."""
     _require_boyer(sys, "pressure")
-    return 0.875 * math.pi**2 / (240.0 * sys.d**4)
+    return _pressure(sys.d, 0.0, "zero-T", None, "zero-T").value
 
 
-def _df_dxi_terms(xi: float, ctl: SeriesControl) -> EvalResult:
-    """df/dxi by term-wise differentiation of the coth/sinh single sum.
+def _check_thermodynamics(xi: float, route: str, p_series: float, ctl: SeriesControl | None):
+    """In-path check of P = 3F - xi dF/dxi on the composed Boyer profile.
 
-    With s = n/(2 xi), each term of f differentiates to a closed
-    combination of coth, 1/sinh and coth/sinh^2 kernels; every piece
-    decays like exp(-s), so the tail is geometric with ratio
-    exp(-1/(2 xi)).
+    The closed-form monomials obey it by construction, so the series parts
+    are compared: 3F - P against a central difference xi dF/dxi, wherever
+    the difference's truncation error (set by the log-derivative of the
+    slowest tail ratio) is below the 1e-6 relative tolerance.
     """
-    rr = math.exp(-0.5 / xi)
+    h = 1e-5 * max(xi, 0.01)
+    rate = 0.5 / (xi * xi) if route == "coth" else 4.0 * math.pi**2
+    if not (xi > h and (h * rate) ** 2 / 6.0 < 1e-7):
+        return
 
-    def term(n):
-        s = 0.5 * n / xi
-        ch = coth_stable(s)
-        ish = inv_sinh_stable(s)
-        if ish == 0.0:  # every piece carries an ish factor; avoid 0 * inf
-            return 0.0
-        a = 2.0 * xi / n + ch
-        a_p = 2.0 / n + ish * ish * s / xi
-        b_p = ish * ch * s / xi
-        g = a * ish / (4.0 * xi * n * n)
-        return (a_p * ish + a * b_p) / (4.0 * xi * n * n) - g / xi
+    def f(x):
+        return _pair_profile(PlateKind.BOYER_MIXED, x, route, False, ctl)[1]
 
-    def tail(n, t):
-        return 2.0 * abs(t) * rr / (1.0 - rr)
+    analytic = 3.0 * f(xi) - p_series
+    fd = xi * (f(xi + h) - f(xi - h)) / (2.0 * h)
+    scale = max(abs(analytic), abs(fd), 1e-280)
+    if abs(analytic - fd) > 1e-6 * scale and scale > 1e-250:
+        raise InternalConsistencyError(
+            f"xi dF/dxi analytic={analytic!r} vs finite-difference={fd!r} "
+            f"at xi={xi}, route {route}"
+        )
 
-    total, bound, n = sum_until(term, tail, ctl, "df_dxi")
-    return EvalResult(total, bound + 1e-16 * abs(total), n, "coth")
+
+def _pressure(d: float, xi: float, route: str, ctl: SeriesControl | None, rep: str) -> EvalResult:
+    sys = PlateSystem(d)  # validates d
+    value, p_series, err, terms = _pair_profile(sys.kind, xi, route, True, ctl)
+    if route != "zero-T":
+        _check_thermodynamics(xi, route, p_series, ctl)
+    return EvalResult(*_per_area(value, err, d, 4), terms, rep)
 
 
 def pressure_net_dfdxi(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """Net pressure as (7/8) pi^2/240d^4 + (1/pi^2 beta^4) df/dxi.
-
-    The analytic derivative is validated against a central finite
-    difference of the scaled free energy; disagreement beyond 1e-6
-    relative raises ``InternalConsistencyError``.
-    """
-    sys = PlateSystem(d)  # validates d
-    ctl = ctl or SeriesControl()
-    xi = t.xi
-    dfd = _df_dxi_terms(xi, ctl)
-    h = 1e-5 * max(xi, 0.01)
-    # the log-derivative of f scales like 1/(2 xi^2); only run the check
-    # where the central-difference truncation error is itself below the
-    # tolerance, else a healthy analytic derivative would be flagged
-    if xi > h and (h / (2.0 * xi * xi)) ** 2 / 6.0 < 1e-7:
-        fp = f_scaled_single(xi + h, ctl).value
-        fm = f_scaled_single(xi - h, ctl).value
-        fd = (fp - fm) / (2.0 * h)
-        scale = max(abs(dfd.value), abs(fd), 1e-280)
-        if abs(dfd.value - fd) > 1e-6 * scale and scale > 1e-250:
-            raise InternalConsistencyError(
-                f"df/dxi analytic={dfd.value!r} vs finite-difference={fd!r} "
-                f"at xi={xi}"
-            )
-    # 1/(pi^2 beta^4) written via xi so huge beta underflows instead of
-    # overflowing
-    q = (math.pi * xi / d) ** 4 / math.pi**2
-    value = pressure_zero_T(sys) + q * dfd.value
-    return EvalResult(value, q * dfd.abs_err_est + 1e-16 * abs(value), dfd.terms_used, "dfdxi")
+    """Net pressure from the kernel's coth series, the xi-derivative form:
+    d^4 P = p(2 xi)/8 - p(xi), p = -pi^2/240 + (pi^2 x/4) sum coth csch^2/n."""
+    return _pressure(d, t.xi, "coth", ctl, "dfdxi")
 
 
 def pressure_thermal_log(
@@ -141,87 +116,22 @@ def pressure_thermal_log(
     return EvalResult(value, abs(q) * bound + 1e-16 * abs(value), n, "thermal-log")
 
 
-def _coth_sum_second_derivative(xi: float, c: float, ctl: SeriesControl):
-    """(d^2/dxi^2)[(1/xi) sum_m coth(c m xi)/m^3], exponentially convergent.
-
-    The constant part of coth sums to zeta(3), contributing 2 zeta(3)/xi^3
-    in closed form; the remainder uses
-    (d^2/dxi^2)[coth(a xi)/xi] = 2 coth/xi^3 + 2a/(xi^2 sinh^2)
-                                 + 2a^2 coth/(xi sinh^2), a = c m.
-    """
-    rr = math.exp(-2.0 * c * xi)
-
-    def term(m):
-        a = c * m
-        u = a * xi
-        ish = inv_sinh_stable(u)
-        ch = coth_stable(u)
-        return (
-            2.0 * coth_minus_one(u) / xi**3
-            + 2.0 * a * ish * ish / (xi * xi)
-            + 2.0 * a * a * ch * ish * ish / xi
-        ) / m**3
-
-    def tail(m, tm):
-        return 2.0 * abs(tm) * rr / (1.0 - rr)
-
-    s, bound, n = sum_until(term, tail, ctl, "coth_sum_second_derivative")
-    return 2.0 * ZETA3 / xi**3 + s, bound, n
-
-
-def _coth_sum_value(xi: float, c: float, ctl: SeriesControl):
-    """(1/xi) sum_m coth(c m xi)/m^3 via the same zeta(3) split."""
-    rr = math.exp(-2.0 * c * xi)
-
-    def term(m):
-        return coth_minus_one(c * m * xi) / m**3
-
-    def tail(m, tm):
-        return 2.0 * abs(tm) * rr / (1.0 - rr)
-
-    s, _, _ = sum_until(term, tail, ctl, "coth_sum_value")
-    return (ZETA3 + s) / xi
-
-
 def pressure_poisson(
     t: ThermalPoint,
     d: float,
     ctl: SeriesControl | None = None,
     xi_floor: float = _POISSON_XI_FLOOR,
 ) -> EvalResult:
-    """All-temperature net pressure from the Poisson-resummed form.
-
-    P = pi^2/45b^4 - (1/32 pi^4 b^4) S''(4 pi^2) + (1/8 pi^4 b^4) S''(2 pi^2)
-    with S(c) = (1/xi) sum_m coth(c m xi)/m^3 and analytic second
-    derivatives, each validated against a second central difference.
-    """
+    """All-temperature net pressure from the kernel's Poisson series:
+    d^4 P = p(2 xi)/8 - p(xi) with
+    p = pi^6 x^4/45 - zeta(3) x/4 - (1/4) sum_m [...]/m^3."""
     PlateSystem(d)  # validates d
-    ctl = ctl or SeriesControl()
-    xi, beta = t.xi, t.beta(d)
-    if xi < xi_floor:
+    if t.xi < xi_floor:
         raise SlowConvergenceError(
             f"pressure_poisson converges too slowly below xi={xi_floor}; "
             "use pressure_net_dfdxi"
         )
-    c1, c2 = 4.0 * math.pi**2, 2.0 * math.pi**2
-    d1, b1, n1 = _coth_sum_second_derivative(xi, c1, ctl)
-    d2, b2, n2 = _coth_sum_second_derivative(xi, c2, ctl)
-    h = 1e-4 * max(xi, 0.1)
-    for c, dd in ((c1, d1), (c2, d2)):
-        fd2 = (
-            _coth_sum_value(xi + h, c, ctl)
-            - 2.0 * _coth_sum_value(xi, c, ctl)
-            + _coth_sum_value(xi - h, c, ctl)
-        ) / (h * h)
-        if abs(dd - fd2) > 1e-6 * max(abs(dd), abs(fd2)):
-            raise InternalConsistencyError(
-                f"Poisson second derivative analytic={dd!r} vs "
-                f"finite-difference={fd2!r} at xi={xi}, c={c}"
-            )
-    q = 1.0 / (math.pi**4 * beta**4)
-    value = math.pi**2 / (45.0 * beta**4) - q / 32.0 * d1 + q / 8.0 * d2
-    err = q * (b1 / 32.0 + b2 / 8.0) + 1e-15 * abs(value)
-    return EvalResult(value, err, n1 + n2, "poisson")
+    return _pressure(d, t.xi, "poisson", ctl, "poisson")
 
 
 def pressure_high_T(t: ThermalPoint, d: float) -> float:
@@ -255,8 +165,4 @@ def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> Eval
     """Routed pressure by scaled temperature: derivative form at small xi,
     Poisson above; xi = 0 is the exact zero-temperature limit (removable)."""
     route = _route(xi)
-    if route == "zero-T":
-        return EvalResult(pressure_zero_T(PlateSystem(d)), 0.0, 0, "zero-T")
-    if route == "coth":
-        return pressure_net_dfdxi(ThermalPoint(xi), d, ctl)
-    return pressure_poisson(ThermalPoint(xi), d, ctl)
+    return _pressure(d, xi, route, ctl, "dfdxi" if route == "coth" else route)

@@ -4,10 +4,12 @@ The Boyer free energy splits as F = F1 - F2, where F1 and F2 are
 conducting-pair free energies at separations 2d and d.  Each of those
 obeys an exact inversion relation connecting low and high temperature;
 the Boyer combination itself does not, because its boundary conditions
-are not symmetric under the inversion.  This module exposes the split,
-the residuals of the inversion relations, the two summation identities
-used to derive them, and the two classic applications (Stefan-Boltzmann
-term to zero-temperature energy, and the high-T to low-T mapping).
+are not symmetric under the inversion.  ``free_energy`` composes the
+production values from this split.  This module exposes the split as
+lattice-checked halves, the residuals of the inversion relations, the two
+summation identities used to derive them, and the two classic applications
+(Stefan-Boltzmann term to zero-temperature energy, and the high-T to low-T
+mapping).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import DomainError, InternalConsistencyError
 from .free_energy import (
     PlateSystem,
     ThermalPoint,
+    _per_area,
     evaluate_free_energy,
     f_conducting_lattice,
     f_conducting_single,
@@ -62,18 +65,23 @@ class SplitFreeEnergies:
     xi: float
 
 
-def _conducting_checked(xi: float, ctl: SeriesControl) -> EvalResult:
-    """Tight single-sum conducting profile, cross-checked against the
-    relaxed lattice evaluation to 1e-5."""
-    tight = f_conducting_single(xi, ctl)
-    relaxed = f_conducting_lattice(xi, SeriesControl(rel_tol=1e-10))
+def _conducting_checked(x: float, a: float, ctl: SeriesControl | None, what: str) -> EvalResult:
+    """F/L^2 of the conducting pair at separation a and its own scaled
+    temperature x: the tight single sum, cross-checked against the relaxed
+    lattice evaluation to 1e-5."""
+    if not x > 0.0:
+        raise DomainError(f"{what} requires xi > 0")
+    if not a > 0.0:
+        raise DomainError(f"{what} requires d > 0")
+    tight = f_conducting_single(x, ctl)
+    relaxed = f_conducting_lattice(x, SeriesControl(rel_tol=1e-10))
     tol = max(1e-5, 1e-9 * abs(tight.value))
     if abs(tight.value - relaxed.value) > tol:
         raise InternalConsistencyError(
-            f"conducting profile mismatch at xi={xi}: single={tight.value!r} "
+            f"conducting profile mismatch at xi={x}: single={tight.value!r} "
             f"lattice={relaxed.value!r}"
         )
-    return tight
+    return EvalResult(*_per_area(tight.value, tight.abs_err_est, a, 3), tight.terms_used, tight.rep)
 
 
 def f1_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -82,26 +90,12 @@ def f1_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult
     The pair at separation 2d sees its own scaled temperature 2 xi, so
     F1 is the dimensionless conducting profile at 2 xi divided by (2d)^3.
     """
-    if not xi > 0.0:
-        raise DomainError("f1_eval requires xi > 0")
-    if not d > 0.0:
-        raise DomainError("f1_eval requires d > 0")
-    ctl = ctl or SeriesControl()
-    r = _conducting_checked(2.0 * xi, ctl)
-    q = 1.0 / (8.0 * d**3)
-    return EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
+    return _conducting_checked(2.0 * xi, 2.0 * d, ctl, "f1_eval")
 
 
 def f2_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
     """F2/L^2: conducting pair at separation d, scaled temperature xi."""
-    if not xi > 0.0:
-        raise DomainError("f2_eval requires xi > 0")
-    if not d > 0.0:
-        raise DomainError("f2_eval requires d > 0")
-    ctl = ctl or SeriesControl()
-    r = _conducting_checked(xi, ctl)
-    q = 1.0 / d**3
-    return EvalResult(q * r.value, q * r.abs_err_est, r.terms_used, r.rep)
+    return _conducting_checked(xi, d, ctl, "f2_eval")
 
 
 def split_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> SplitFreeEnergies:

@@ -19,6 +19,7 @@ from .free_energy import (
     PlateSystem,
     ThermalPoint,
     evaluate_free_energy,
+    f_conducting_lattice,
     f_conducting_single,
     free_energy_auto,
     free_energy_high_T,
@@ -42,7 +43,6 @@ from .symmetry import (
     identity_alternating,
     identity_plain,
     sb_to_casimir,
-    split_eval,
     tis_residual_boyer_naive,
     tis_residual_f1,
     tis_residual_f2,
@@ -89,6 +89,11 @@ def _representation_equivalence(grid, out: list):
     out.append(_check("equivalence/poisson-vs-coth", dev["poisson"], 1e-8))
     out.append(_check("equivalence/mode-integral-vs-coth", dev["mode-integral"], 1e-6))
     out.append(_check("equivalence/lattice-vs-coth", dev["lattice"], 1e-5))
+    # the conducting pair's two kernel routes, which the router switches between
+    cond = [evaluate_free_energy(PlateSystem(1.0, "conductor"), ThermalPoint(xi), _CTL, rep).value
+            for xi in grid for rep in ("poisson", "coth")]
+    worst = max(abs(a - b) for a, b in zip(cond[::2], cond[1::2]))
+    out.append(_check("equivalence/conductor-poisson-vs-coth", worst, 1e-8))
 
 
 def _tis(grid, out: list):
@@ -184,9 +189,12 @@ def _epstein_overlap(out: list):
 def _split(out: list):
     worst = 0.0
     for xi in (0.1, 0.3, 1.0, 3.0):
-        s = split_eval(xi, 1.0, _CTL)
+        # F1 - F2 from the lattice sums, independent of the kernel that
+        # composes the Boyer value from the same split
+        f1 = f_conducting_lattice(2.0 * xi, _CTL).value / 8.0
+        f2 = f_conducting_lattice(xi, _CTL).value
         fb = evaluate_free_energy(PlateSystem(1.0), ThermalPoint.from_xi(xi, 1.0), _CTL).value
-        worst = max(worst, abs(s.f1 - s.f2 - fb))
+        worst = max(worst, abs(f1 - f2 - fb))
     out.append(_check("split/f1-minus-f2", worst, 1e-8))
     rec = sb_to_casimir()
     out.append(

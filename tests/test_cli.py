@@ -1,12 +1,16 @@
 """Command-line interface: output formats, exit codes, routing, and
 determinism of CSV artifacts."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_plates import cli
 from casimir_plates.verification import run_all
@@ -36,7 +40,7 @@ class TestEval:
         float(fields[0])
         float(fields[1])
         int(fields[2])
-        assert fields[3] == "poisson"  # router choice for xi >= 0.4
+        assert fields[3] == "poisson"  # router choice for xi >= 1/(2 pi)
 
     def test_beta_equivalent_to_xi(self, capsys):
         d = 1.0
@@ -66,6 +70,14 @@ class TestEval:
         assert code == 0
         v = float(capsys.readouterr().out.split()[0])
         assert v == pytest.approx(-math.pi**2 / 720.0, rel=1e-6)
+
+    def test_poisson_for_conductor(self, capsys):
+        code = run_main(
+            ["eval", "--quantity", "free_energy", "--xi", "0.5",
+             "--system", "conductor", "--rep", "poisson"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.split()[3] == "poisson"
 
     def test_reference_value(self, capsys):
         assert run_main(["eval", "--quantity", "free_energy", "--xi", "2"]) == 0
@@ -171,6 +183,43 @@ class TestEvalErrors:
         captured = capsys.readouterr()
         assert "nan" not in captured.out
         assert named in captured.err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--quantity", "free_energy", "--xi", "1e300"],
+            ["--quantity", "free_energy", "--xi", "0.5", "--d", "1e-120"],
+            ["--quantity", "free_energy", "--xi", "0.5", "--d", "1e-120", "--rep", "double"],
+            ["--quantity", "pressure", "--xi", "1e300"],
+            ["--quantity", "f_scaled", "--system", "conductor", "--xi", "1e200"],
+        ],
+        ids=["xi-huge", "d-tiny", "d-tiny-double", "pressure-xi-huge", "f-scaled-xi-huge"],
+    )
+    def test_out_of_range_result_is_a_domain_error(self, argv, capsys):
+        assert run_main(["eval", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "floating-point range" in captured.err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["free_energy", "pressure", "f_scaled", "p_scaled"]),
+        st.sampled_from(["boyer", "conductor"]),
+        st.one_of(st.just(0.0), st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    )
+    def test_auto_eval_is_finite_or_exit_3(self, quantity, system, xi, d):
+        argv = ["eval", "--quantity", quantity, "--system", system,
+                "--xi", repr(xi), "--d", repr(d)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_main(argv)
+        if code == 0:
+            value, err = (float(f) for f in out.getvalue().split()[:2])
+            assert math.isfinite(value) and math.isfinite(err)
+        else:
+            assert code == 3
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import (
+    CasimirError,
     DomainError,
     PlateKind,
     PlateSystem,
@@ -22,11 +23,11 @@ from casimir_plates import (
     zero_temperature_energy,
 )
 from casimir_plates.free_energy import (
+    _pair_profile,
     f_conducting_lattice,
     f_conducting_single,
     f_nontrivial,
     f_scaled_double,
-    f_scaled_single,
     free_energy_high_T,
     free_energy_low_T,
     free_energy_mode_integral,
@@ -44,22 +45,36 @@ def conductor(d=1.0):
     return PlateSystem(d=d, kind=PlateKind.CONDUCTOR_CONDUCTOR)
 
 
+def _mpmath_conductor(xi):
+    """d^3 F/L^2 of the conducting pair via the single coth/csch sum, as an
+    mpmath number at the working precision."""
+    x = mpmath.mpf(xi)
+    zero_t = -mpmath.pi**2 / mpmath.mpf(720)
+
+    def term(n):
+        s = n / (2 * x)
+        return (
+            4 * x**3 / n**3 * (mpmath.coth(s) - 1)
+            + 2 * x**2 / n**2 / mpmath.sinh(s) ** 2
+        )
+
+    q = mpmath.pi**2 / 8
+    total = 4 * x**3 * mpmath.zeta(3) + mpmath.nsum(term, [1, mpmath.inf])
+    return zero_t - q * total
+
+
 def _mpmath_f_scaled(xi, prec=40):
-    """Oracle: f(xi) via the single coth/csch sum in arbitrary precision."""
+    """Oracle: the conducting profile in arbitrary precision, as a float."""
     with mpmath.workdps(prec):
-        x = mpmath.mpf(xi)
-        zero_t = -mpmath.pi**2 / mpmath.mpf(720)
+        return float(_mpmath_conductor(xi))
 
-        def term(n):
-            s = n / (2 * x)
-            return (
-                4 * x**3 / n**3 * (mpmath.coth(s) - 1)
-                + 2 * x**2 / n**2 / mpmath.sinh(s) ** 2
-            )
 
-        q = mpmath.pi**2 / 8
-        total = 4 * x**3 * mpmath.zeta(3) + mpmath.nsum(term, [1, mpmath.inf])
-        return float(zero_t - q * total)
+def _coth_thermal_profile(xi):
+    """The Boyer scaled thermal profile f(xi) = (E_0 - F)/(pi^2 xi^3) at d = 1,
+    from the composed coth representation."""
+    t = ThermalPoint(xi)
+    fb = evaluate_free_energy(boyer(), t, TIGHT, "coth").value
+    return (zero_temperature_energy(boyer()) - fb) / (math.pi**2 * xi**3)
 
 
 class TestMpmathOracle:
@@ -98,7 +113,7 @@ class TestMpmathOracle:
 
 class TestScaledThermalFunction:
     def test_single_equals_double(self):
-        a = f_scaled_single(0.5, TIGHT).value
+        a = _coth_thermal_profile(0.5)
         b = f_scaled_double(0.5, TIGHT).value
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -107,7 +122,7 @@ class TestScaledThermalFunction:
         # is 6 e^{-5} and the next correction is ~2e-3 relative
         xi = 0.1
         approx = (1.0 + 0.5 / xi) * math.exp(-1.0 / (2.0 * xi))
-        got = f_scaled_single(xi, TIGHT).value
+        got = _coth_thermal_profile(xi)
         assert got == pytest.approx(approx, rel=2e-3)
         assert approx == pytest.approx(0.0404277, rel=1e-4)
 
@@ -124,7 +139,7 @@ class TestScaledThermalFunction:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            f_scaled_single(0.0)
+            f_conducting_single(0.0)
         with pytest.raises(DomainError):
             f_scaled_double(-1.0)
 
@@ -132,12 +147,12 @@ class TestScaledThermalFunction:
 class TestRepresentationEquivalence:
     @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 1.0, 2.0, 5.0])
     def test_bessel_equals_coth_decomposition(self, xi):
-        sys = boyer()
+        # the Boyer pair as the coth route's conductor halves g(2 xi)/8 - g(xi)
         t = ThermalPoint.from_xi(xi, 1.0)
-        via_bessel = evaluate_free_energy(sys, t, TIGHT, "bessel").value
+        via_bessel = evaluate_free_energy(boyer(), t, TIGHT, "bessel").value
         decomposed = (
-            zero_temperature_energy(sys)
-            - f_scaled_single(xi, TIGHT).value / (math.pi * t.beta(1.0) ** 3)
+            f_conducting_single(2.0 * xi, TIGHT).value / 8.0
+            - f_conducting_single(xi, TIGHT).value
         )
         assert via_bessel == pytest.approx(decomposed, abs=1e-10)
 
@@ -296,7 +311,7 @@ class TestValidation:
 
     def test_bessel_unsupported_for_conductor(self):
         t = ThermalPoint.from_xi(0.5, 1.0)
-        for rep in ("bessel", "double", "poisson", "mode-integral"):
+        for rep in ("bessel", "double", "mode-integral"):
             with pytest.raises(UnsupportedRepresentationError):
                 evaluate_free_energy(conductor(), t, TIGHT, rep)
 
@@ -305,10 +320,86 @@ class TestValidation:
         with pytest.raises(ValueError):
             evaluate_free_energy(boyer(), t, TIGHT, "chebyshev")
 
-    def test_error_estimates_bound_true_error(self):
+    def test_explicit_representation_error_estimates(self):
         for rep in REPS:
             for xi in (0.1, 0.5, 2.0):
                 ref = _mpmath_f_scaled(2.0 * xi) / 8.0 - _mpmath_f_scaled(xi)
                 t = ThermalPoint.from_xi(xi, 1.0)
                 r = evaluate_free_energy(boyer(), t, TIGHT, rep)
                 assert abs(r.value - ref) <= 10.0 * r.abs_err_est + 1e-12 * abs(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(1e-3), math.log(5.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+        st.sampled_from(["boyer", "conductor"]),
+    )
+    def test_error_estimates_bound_true_error(self, xi, d, kind):
+        with mpmath.workdps(40):
+            if kind == "boyer":
+                ref = _mpmath_conductor(2.0 * xi) / 8 - _mpmath_conductor(xi)
+            else:
+                ref = _mpmath_conductor(xi)
+            ref /= mpmath.mpf(d) ** 3
+            r = free_energy_auto(PlateSystem(d, kind), xi)
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
+
+
+class TestConductorKernel:
+    """The one conductor kernel: its coth and Poisson routes, the profiles
+    g = d^3 F and p = d^4 P = 3 g - x g', and the routed conductor pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 5.0), st.booleans())
+    def test_routes_agree(self, x, pressure):
+        kind = PlateKind.CONDUCTOR_CONDUCTOR
+        a = _pair_profile(kind, x, "coth", pressure, TIGHT)[0]
+        b = _pair_profile(kind, x, "poisson", pressure, TIGHT)[0]
+        assert a == pytest.approx(b, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [0.2, 1.0, 3.0])
+    def test_pressure_profile_is_3g_minus_x_dg(self, x):
+        kind = PlateKind.CONDUCTOR_CONDUCTOR
+        p = _pair_profile(kind, x, "poisson", True, TIGHT)[0]
+        with mpmath.workdps(30):
+            dg = mpmath.diff(_mpmath_conductor, x)
+            ref = 3 * _mpmath_conductor(x) - x * dg
+        assert p == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [10.0, 1e5])
+    def test_routed_conductor_is_short(self, xi):
+        r = free_energy_auto(conductor(), xi)
+        assert r.rep == "poisson"
+        assert r.terms_used <= 16
+
+    def test_router_splits_at_self_dual_point(self):
+        split = 1.0 / (2.0 * math.pi)
+        assert free_energy_auto(boyer(), math.nextafter(split, 0.0)).rep == "coth"
+        assert free_energy_auto(boyer(), split).rep == "poisson"
+
+    def test_poisson_for_conductor(self):
+        t = ThermalPoint(0.5)
+        r = evaluate_free_energy(conductor(), t, TIGHT, "poisson")
+        assert r.rep == "poisson"
+        assert r.value == pytest.approx(f_conducting_single(0.5, TIGHT).value, rel=1e-13)
+
+    def test_conductor_zero_T_route_keeps_zeta3_term(self):
+        # below xi ~ 6.7e-4 every series term underflows, but the
+        # conducting pair's -pi^2 zeta(3) xi^3/2 is a power law
+        xi = 5e-4
+        r = free_energy_auto(conductor(), xi)
+        assert r.rep == "zero-T"
+        assert r.value == pytest.approx(float(_mpmath_conductor(xi)), rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+        st.sampled_from(["boyer", "conductor"]),
+    )
+    def test_routed_result_is_finite_or_typed_error(self, xi, d, kind):
+        try:
+            r = free_energy_auto(PlateSystem(d, kind), xi)
+        except CasimirError:
+            return
+        assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)

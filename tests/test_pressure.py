@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import (
+    CasimirError,
     DomainError,
     PlateKind,
     PlateSystem,
@@ -60,6 +61,19 @@ def _mpmath_pressure(xi, d=1.0, prec=40):
             return g(2 * y) / (8 * dv**3) - g(y) / dv**3
 
         return float(-mpmath.diff(free, dd))
+
+
+def _mpmath_pressure_profile(x):
+    """d^4 P/L^2 of the conducting pair, p = -pi^2/240 + (pi^2 x/4)
+    sum_n coth(s) csch^2(s)/n with s = n/(2x), as an mpmath number (the
+    relation p = 3 g - x g' behind it is checked in test_free_energy)."""
+    x = mpmath.mpf(x)
+
+    def term(n):
+        s = n / (2 * x)
+        return mpmath.coth(s) / mpmath.sinh(s) ** 2 / n
+
+    return -mpmath.pi**2 / 240 + mpmath.pi**2 * x / 4 * mpmath.nsum(term, [1, mpmath.inf])
 
 
 class TestOracle:
@@ -202,8 +216,26 @@ class TestValidation:
         with pytest.raises(SlowConvergenceError):
             pressure_poisson(t, 1.0, TIGHT)
 
-    def test_error_estimates_bound_true_error(self):
-        for xi in (0.05, 0.3, 1.0):
-            ref = _mpmath_pressure(xi)
-            r = pressure_auto(1.0, xi, TIGHT)
-            assert abs(r.value - ref) <= 10.0 * r.abs_err_est + 1e-11 * abs(ref)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(math.log(1e-3), math.log(5.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+    )
+    def test_error_estimates_bound_true_error(self, xi, d):
+        with mpmath.workdps(40):
+            ref = _mpmath_pressure_profile(2.0 * xi) / 8 - _mpmath_pressure_profile(xi)
+            ref /= mpmath.mpf(d) ** 4
+            r = pressure_auto(d, xi)
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    )
+    def test_routed_result_is_finite_or_typed_error(self, xi, d):
+        try:
+            r = pressure_auto(d, xi)
+        except CasimirError:
+            return
+        assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
