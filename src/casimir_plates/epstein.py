@@ -11,13 +11,15 @@ inside the convergence region.
 
 ``epstein2_continued`` is the meromorphic continuation for N = 2, M^2 = 0,
 whose Bessel double sum converges everywhere exponentially.
+
+scipy (``betainc``, ``quad``, ``kv``, ``gammaln``) is imported on first use,
+inside the functions that call it, so importing this module is cheap; the
+results are returned as Python floats.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from scipy import integrate, special
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import EvalResult, SeriesControl, riemann_zeta
@@ -49,6 +51,8 @@ class EpsteinParams:
 
 def _tail_integral_1d(z: float, a: float, c: float, x0: float) -> float:
     """Closed form of int_{x0}^inf (a x^2 + c)^(-z) dx for z > 1/2."""
+    from scipy import special
+
     if c == 0.0:
         return a ** (-z) * x0 ** (1.0 - 2.0 * z) / (2.0 * z - 1.0)
     u0 = c / (c + a * x0 * x0)
@@ -121,6 +125,8 @@ class _LatticeSum:
             x0 = n0 + 1.0
             u = c + an * x0 * x0
             if rest:
+                from scipy import integrate
+
                 integral, qerr = integrate.quad(
                     lambda x: self.value(z, rest, c + an * x * x),
                     x0,
@@ -158,7 +164,7 @@ def epstein_direct(p: EpsteinParams, ctl: SeriesControl | None = None) -> EvalRe
             f"epstein_direct requires z > N/2 = {0.5 * n_dim}; got z = {p.z}"
         )
     eng = _LatticeSum(ctl)
-    value = eng.value(p.z, p.a, p.m2)
+    value = float(eng.value(p.z, p.a, p.m2))  # a Python float, not a numpy scalar
     err = eng.quad_err + ctl.rel_tol * abs(value)
     return EvalResult(value=value, abs_err_est=err, terms_used=eng.terms, rep="lattice")
 
@@ -174,7 +180,9 @@ def epstein1_closed(z: float, a: float) -> float:
 
 def _gamma_ratio(num: float, den: float) -> float:
     """Gamma(num)/Gamma(den) in log space, with sign tracking."""
-    sign = special.gammasgn(num) * special.gammasgn(den)
+    from scipy import special
+
+    sign = float(special.gammasgn(num) * special.gammasgn(den))
     return sign * math.exp(special.gammaln(num) - special.gammaln(den))
 
 
@@ -186,6 +194,8 @@ def epstein2_continued(
     The Bessel double sum decays like exp(-2 pi sqrt(a1/a2) n m) and is
     truncated adaptively; Gamma ratios are computed in log space.
     """
+    from scipy import special
+
     ctl = ctl or SeriesControl()
     if a1 <= 0.0 or a2 <= 0.0:
         raise DomainError("epstein2_continued requires positive a1, a2")
@@ -210,7 +220,7 @@ def epstein2_continued(
     pref = (
         2.0
         * math.pi**z
-        / (special.gamma(z) * a2 ** (0.5 * z + 0.25))
+        / (float(special.gamma(z)) * a2 ** (0.5 * z + 0.25))
     )
     w = 2.0 * math.pi * math.sqrt(a1 / a2)
     sqrt_a1 = math.sqrt(a1)

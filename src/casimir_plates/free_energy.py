@@ -12,7 +12,11 @@ profile g(x) = a^3 F_c, or p(x) = a^4 P_c = 3 g - x g', from the coth series
 switches at x = 1/(2 pi), where the two ratios meet.  The Boyer pair is the
 split F = F1(2d) - F2(d): d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
 The other representations are independent evaluations, cross-checked
-against the kernel by the tests and by ``casimir verify``.
+against the kernel by the tests and by ``casimir verify``.  Like the kernel,
+each forms the dimensionless d^3 F and scales it by d^-3 once.  Only the
+validation forms use scipy (the lattice sums through ``epstein``, the
+mode-integral quadrature), and they import it on first use: the routed
+paths, ``double`` and the closed forms need ``math`` alone.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ import math
 import sys as _sys
 import warnings
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from . import epstein
 from .errors import (
@@ -283,18 +285,34 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
 
     This is also the Macdonald-function (``bessel``) form term for term,
     since K_{3/2}(z) = sqrt(pi/2z) e^(-z) (1 + 1/z).
+
+    Every term t = pos - neg lies in [0, pos], and pos falls by at least
+    r_n = e^(-n/(2 xi)) per step in m, so the error bar sums the m-tail left
+    behind in every row, the tail of the rows after the last, and the
+    rounding of each term, at most (5 + x) eps (pos + neg) with
+    x = n m/(2 xi) (the rounding of x enters e^(-x) multiplied by x).
+    Both geometric factors r/(1 - r) are formed from expm1, so they stay
+    accurate as the ratios near 1; where e^(-1/(2 xi)) rounds to 1 the
+    terms are not resolved at all, and that is a DomainError.
     """
     if not xi > 0.0:
         raise DomainError("f_scaled_double requires xi > 0")
+    if math.exp(-0.5 / xi) == 1.0:
+        raise DomainError(
+            f"the double sum's decay ratio exp(-1/(2 xi)) rounds to 1 at xi={xi!r}, "
+            "outside the floating-point range of its terms; use the Poisson representation"
+        )
     ctl = ctl or SeriesControl()
     parts = []
     nterms = 0
     total = 0.0
-    tail_bound = 0.0
+    m_tails = 0.0
+    rounding = 0.0
     n = 0
     while True:
         n += 1
-        rn = math.exp(-n / (2.0 * xi))  # per-m decay ratio within row n
+        a = n / (2.0 * xi)
+        geo = math.exp(-a) / -math.expm1(-a)  # r_n/(1 - r_n) within row n
         row_first = None
         m = 0
         while True:
@@ -305,27 +323,31 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
                     "f_scaled_double exhausted max_terms; use the Poisson "
                     "representation at large xi"
                 )
-            e1 = math.exp(-n * m / (2.0 * xi))
+            x = n * m / (2.0 * xi)
+            e1 = math.exp(-x)
             e2 = e1 * e1
             pos = (1.0 / m**3 + n / (2.0 * xi * m * m)) * e1
-            t = pos - (1.0 / m**3 + n / (xi * m * m)) * e2
+            neg = (1.0 / m**3 + n / (xi * m * m)) * e2
+            t = pos - neg
             parts.append(t)
             total += t
+            rounding += (5.0 + x) * (pos + neg)
             if row_first is None:
                 row_first = pos
-            mbound = pos * rn / (1.0 - rn)
+            mbound = pos * geo
             if m >= 2 and mbound <= 0.05 * ctl.rel_tol * abs(total):
                 break
-        # row-to-row ratio at m = 1: exp(-1/(2 xi)) times the prefactor growth
-        r_row = math.exp(-0.5 / xi) * (2.0 * xi + n + 1.0) / (2.0 * xi + n)
-        if r_row < 1.0:
-            row_full = row_first * (1.0 + rn / (1.0 - rn))
-            row_tail = row_full * r_row / (1.0 - r_row)
+        m_tails += mbound
+        # log of the row-to-row ratio at m = 1: exp(-1/(2 xi)) times the
+        # prefactor growth (2 xi + n + 1)/(2 xi + n)
+        lr = math.log1p(1.0 / (2.0 * xi + n)) - 0.5 / xi
+        if lr < 0.0:
+            row_full = row_first * (1.0 + geo)
+            row_tail = row_full * math.exp(lr) / -math.expm1(lr)
             if n >= ctl.min_terms and row_tail <= 0.5 * ctl.rel_tol * abs(total):
-                tail_bound = row_tail + mbound
                 break
     value = math.fsum(parts)
-    return EvalResult(value, tail_bound + 1e-16 * abs(value), nterms, "double")
+    return EvalResult(value, row_tail + m_tails + _EPS * (rounding + abs(value)), nterms, "double")
 
 
 def free_energy_poisson(
@@ -395,8 +417,7 @@ def free_energy_lattice(
     """
     _require_boyer(sys, "lattice")
     ctl = ctl or SeriesControl()
-    xi, d = t.xi, sys.d
-    w = 2.0 * math.pi * xi
+    w = 2.0 * math.pi * t.xi
     z4 = riemann_zeta(4.0)
     e_even = epstein.epstein_direct(
         epstein.EpsteinParams(2.0, (1.0, (2.0 * w) ** 2)), ctl
@@ -407,16 +428,20 @@ def free_energy_lattice(
         - 1.75 * z4
         + 4.0 * w**4 * (2.0 * e_even.value - e_all.value)
     )
-    q = 1.0 / (16.0 * math.pi**2 * d**3)
+    q = 1.0 / (16.0 * math.pi**2)
     value = -q * raw
     err = q * 4.0 * w**4 * (2.0 * e_even.abs_err_est + e_all.abs_err_est)
     return EvalResult(
-        value, err + 1e-15 * abs(value), e_even.terms_used + e_all.terms_used, "lattice"
+        *_per_area(value, err + 1e-15 * abs(value), sys.d, 3),
+        e_even.terms_used + e_all.terms_used,
+        "lattice",
     )
 
 
 def _blackbody_tail_integral(y: float, tol: float):
     """J(y) = int_y^inf u ln(1 - e^-u) du by adaptive quadrature."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         # near the roundoff floor quad reports its own limitation; the
         # returned error estimate is still propagated to the caller
@@ -458,54 +483,56 @@ def free_energy_mode_integral(
             break
         if n > 10**6:
             raise SlowConvergenceError("mode integral: threshold sum too long")
-    f_val = math.fsum(parts)
-    beta = t.beta(sys.d)
-    thermal = f_val / (math.pi * beta**3)
-    value = zero_temperature_energy(sys) - thermal
-    err = (qerr + abs(j1)) / (math.pi * beta**3) + 1e-15 * abs(value)
-    return EvalResult(value, err, 2 * n, "mode-integral")
+    # d^3 F = d^3 E_0 - pi^2 xi^3 f, i.e. F = E_0 - f/(pi beta^3)
+    q = math.pi**2 * xi**3
+    value = _pair_profile(sys.kind, 0.0, "zero-T", False)[0] - q * math.fsum(parts)
+    err = (qerr + abs(j1)) * q + 1e-15 * abs(value)
+    return EvalResult(*_per_area(value, err, sys.d, 3), 2 * n, "mode-integral")
+
+
+def _asymptotic_profile(kind: PlateKind, xi: float, high: bool) -> float:
+    """d^3 F of a plate pair from its low- or high-temperature closed form.
+
+    The conducting profile g(x) is its closed-form monomials (those of the
+    kernel's coth route at low, of its Poisson route at high temperature)
+    plus one exponential, -pi^2 x^2 (x + 1) e^(-1/x) at low and
+    -x (1/4 + pi^2 x) e^(-4 pi^2 x) at high temperature.  A pair is its
+    halves' monomials plus the exponential of its slowest half (largest x
+    at low, smallest at high temperature); for the Boyer pair the other
+    half's is the next, dropped, order.  So at high temperature the Boyer
+    correction enters with a plus sign: the half at separation d carries
+    weight -1.
+    """
+    a, w = (min if high else max)(_HALVES[kind])
+    x = a * xi
+    try:
+        if high:
+            e = -x * (0.25 + math.pi**2 * x) * math.exp(-4.0 * math.pi**2 * x)
+        else:
+            e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
+        value = w * e + sum(c * xi**k for c, k in _PAIR_MONOMIALS[
+            kind, "poisson" if high else "coth", False])
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the {'high' if high else 'low'}-temperature closed form at xi={xi!r} "
+            "overflows the floating-point range"
+        )
+    return value
 
 
 def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
     """Closed-form low-temperature (xi <~ 0.1) asymptotics, both systems."""
-    d = sys.d
-    beta = t.beta(d)
-    if sys.kind is PlateKind.BOYER_MIXED:
-        return zero_temperature_energy(sys) - (
-            1.0 / (math.pi * beta**3) + 1.0 / (2.0 * d * beta * beta)
-        ) * math.exp(-math.pi * beta / (2.0 * d))
-    return (
-        -math.pi**2 / (720.0 * d**3)
-        - ZETA3 / (2.0 * math.pi * beta**3)
-        - (1.0 / (math.pi * beta**3) + 1.0 / (d * beta * beta))
-        * math.exp(-math.pi * beta / d)
-    )
+    return _per_area(_asymptotic_profile(sys.kind, t.xi, False), 0.0, sys.d, 3)[0]
 
 
 def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
     """Closed-form high-temperature (xi >~ 1) asymptotics, both systems.
 
-    For the mixed pair the exponential correction enters with a plus
-    sign: it is the residual of the conductor-pair corrections at
-    separations 2d and d, and the numerically dominant e^(-4 pi d/beta)
-    piece flips sign relative to the plain conducting case.  Verified
-    against the Poisson representation over xi in [1, 3].
+    Verified against the Poisson representation over xi in [1, 3].
     """
-    d = sys.d
-    beta = t.beta(d)
-    sb = -math.pi**2 * d / (45.0 * beta**4)
-    expo = math.exp(-4.0 * math.pi * d / beta)
-    if sys.kind is PlateKind.BOYER_MIXED:
-        return (
-            sb
-            + 3.0 / 32.0 * ZETA3 / (math.pi * d * d * beta)
-            + (1.0 / (4.0 * math.pi * d * d * beta) + 1.0 / (d * beta * beta)) * expo
-        )
-    return (
-        sb
-        - ZETA3 / (8.0 * math.pi * d * d * beta)
-        - (1.0 / (4.0 * math.pi * beta * d * d) + 1.0 / (d * beta * beta)) * expo
-    )
+    return _per_area(_asymptotic_profile(sys.kind, t.xi, True), 0.0, sys.d, 3)[0]
 
 
 def evaluate_free_energy(
@@ -544,7 +571,10 @@ def evaluate_free_energy(
         f, q = f_scaled_double(t.xi, ctl), math.pi**2 * t.xi**3
         g0 = _pair_profile(sys.kind, 0.0, "zero-T", False)[0]
         value = g0 - _BESSEL_THERMAL_SIGN * q * f.value
-        return EvalResult(*_per_area(value, q * f.abs_err_est, sys.d, 3), f.terms_used, f.rep)
+        # f's bar, then the rounding of q f and g0, of their difference and
+        # of the d^-3 scaling, as in _pair_profile
+        err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
+        return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
     if rep is RepresentationKind.LATTICE:
         return free_energy_lattice(sys, t, ctl)
     if rep is RepresentationKind.MODE_INTEGRAL:

@@ -3,6 +3,7 @@ determinism of CSV artifacts."""
 
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -193,14 +194,35 @@ class TestEvalErrors:
             ["--quantity", "free_energy", "--xi", "0.5", "--d", "1e-120", "--rep", "double"],
             ["--quantity", "pressure", "--xi", "1e300"],
             ["--quantity", "f_scaled", "--system", "conductor", "--xi", "1e200"],
+            ["--quantity", "free_energy", "--rep", "high", "--xi", "0.5", "--d", "1e-120"],
+            ["--quantity", "free_energy", "--rep", "high", "--xi", "0.5", "--d", "1e-120",
+             "--system", "conductor"],
+            ["--quantity", "free_energy", "--rep", "lattice", "--xi", "0.5", "--d", "1e-120"],
+            ["--quantity", "free_energy", "--rep", "double", "--xi", "1e300"],
+            ["--quantity", "free_energy", "--rep", "high", "--xi", "1e300"],
         ],
-        ids=["xi-huge", "d-tiny", "d-tiny-double", "pressure-xi-huge", "f-scaled-xi-huge"],
+        ids=["xi-huge", "d-tiny", "d-tiny-double", "pressure-xi-huge", "f-scaled-xi-huge",
+             "d-tiny-high", "d-tiny-high-conductor", "d-tiny-lattice", "xi-huge-double",
+             "xi-huge-high"],
     )
     def test_out_of_range_result_is_a_domain_error(self, argv, capsys):
         assert run_main(["eval", *argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "floating-point range" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rep", "mode-integral", "--xi", "0.5", "--d", "1e120"],
+            ["--rep", "low", "--xi", "1e-3", "--d", "1e120"],
+        ],
+        ids=["d-huge-mode-integral", "d-huge-low"],
+    )
+    def test_underflowing_result_is_zero(self, argv, capsys):
+        # d^3 F is finite; F = d^3 F/d^3 underflows to zero, as on the routed path
+        assert run_main(["eval", "--quantity", "free_energy", *argv]) == 0
+        assert float(capsys.readouterr().out.split()[0]) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -210,16 +232,46 @@ class TestEvalErrors:
         st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
     )
     def test_auto_eval_is_finite_or_exit_3(self, quantity, system, xi, d):
-        argv = ["eval", "--quantity", quantity, "--system", system,
-                "--xi", repr(xi), "--d", repr(d)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run_main(argv)
-        if code == 0:
-            value, err = (float(f) for f in out.getvalue().split()[:2])
-            assert math.isfinite(value) and math.isfinite(err)
-        else:
-            assert code == 3
+        assert_finite_or_exit_3(["eval", "--quantity", quantity, "--system", system,
+                                 "--xi", repr(xi), "--d", repr(d)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["free_energy", "f_scaled"]),
+        st.sampled_from(["boyer", "conductor"]),
+        st.sampled_from(["coth", "poisson", "double", "bessel", "low", "high"]),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    )
+    def test_explicit_eval_is_finite_or_exit_3(self, quantity, system, rep, xi, d):
+        # a small term budget: a slow series ends in exit 3 quickly
+        assert_finite_or_exit_3(["eval", "--quantity", quantity, "--system", system,
+                                 "--rep", rep, "--xi", repr(xi), "--d", repr(d),
+                                 "--max-terms", "2000"])
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(["lattice", "mode-integral"]),
+        st.sampled_from(["boyer", "conductor"]),
+        st.floats(math.log(1e-2), math.log(10.0)).map(math.exp),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    )
+    def test_validation_eval_is_finite_or_exit_3(self, rep, system, xi, d):
+        # the validation forms overflow in the d scaling, not in xi
+        assert_finite_or_exit_3(["eval", "--quantity", "free_energy", "--system", system,
+                                 "--rep", rep, "--xi", repr(xi), "--d", repr(d),
+                                 "--max-terms", "100000"])
+
+
+def assert_finite_or_exit_3(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_main(argv)
+    if code == 0:
+        value, err = (float(f) for f in out.getvalue().split()[:2])
+        assert math.isfinite(value) and math.isfinite(err)
+    else:
+        assert code == 3
 
 
 class TestSweep:
@@ -323,3 +375,57 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert r.returncode == 2
+
+
+_COLD_ROUTES = """
+import contextlib, io, json, os, sys, tempfile
+import casimir_plates
+from casimir_plates import cli
+
+codes = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    out = os.path.join(tmp, "out.csv")
+    for quantity in ("free_energy", "pressure", "f_scaled", "p_scaled"):
+        for system in ("boyer", "conductor"):
+            for rep in ("auto", "coth", "poisson", "double", "bessel", "low", "high"):
+                for xi in ("0", "0.1", "0.5"):
+                    argv = ["eval", "--quantity", quantity, "--system", system,
+                            "--rep", rep, "--xi", xi]
+                    codes[" ".join(argv)] = cli.main(argv)
+    argv = ["sweep", "--quantity", "free_energy", "--xi-min", "0", "--xi-max", "2",
+            "--points", "50", "--out", out]
+    codes["sweep"] = cli.main(argv)
+    for fid in ("1", "2", "3"):
+        codes["figure " + fid] = cli.main(["figure", fid, "--points", "50", "--out", out])
+    before = sorted(m for m in ("scipy", "numpy") if m in sys.modules)
+    lattice = cli.main(["eval", "--quantity", "free_energy", "--rep", "lattice", "--xi", "0.5"])
+print(json.dumps({"codes": codes, "before": before, "lattice": lattice,
+                  "after": "scipy" in sys.modules}))
+"""
+
+
+class TestLazyImport:
+    def test_production_routes_do_not_import_scipy(self):
+        # a fresh interpreter: this one has scipy loaded already
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        r = subprocess.run([sys.executable, "-c", _COLD_ROUTES],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        got = json.loads(r.stdout)
+        codes = got["codes"]
+        assert set(codes.values()) <= {0, 3}
+
+        def must_succeed(command):
+            # exit 3 only where the pair or the quantity lacks the representation
+            words = command.split()
+            return words[0] != "eval" or words[4] == "boyer" and (
+                words[6] == "auto" or words[2] in ("free_energy", "f_scaled"))
+
+        assert all(code == 0 for c, code in codes.items() if must_succeed(c))
+        assert got["before"] == []
+        # the validation forms still load scipy on first use
+        assert got["lattice"] == 0
+        assert got["after"]

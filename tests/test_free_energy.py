@@ -320,8 +320,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             evaluate_free_energy(boyer(), t, TIGHT, "chebyshev")
 
-    def test_explicit_representation_error_estimates(self):
-        for rep in REPS:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(1e-3), math.log(8.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+        st.sampled_from([None, TIGHT]),
+    )
+    def test_explicit_representation_error_estimates(self, xi, d, ctl):
+        # the double-sum engine's bar: every row's m-tail, the tail of the
+        # rows after the last, and the rounding of each term and of g0 - q f
+        with mpmath.workdps(40):
+            ref = (_mpmath_conductor(2.0 * xi) / 8 - _mpmath_conductor(xi)) / mpmath.mpf(d) ** 3
+            r = evaluate_free_energy(boyer(d), ThermalPoint(xi), ctl, "double")
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
+
+    def test_series_and_lattice_error_estimates(self):
+        for rep in ("coth", "poisson", "lattice"):
             for xi in (0.1, 0.5, 2.0):
                 ref = _mpmath_f_scaled(2.0 * xi) / 8.0 - _mpmath_f_scaled(xi)
                 t = ThermalPoint.from_xi(xi, 1.0)
