@@ -194,8 +194,6 @@ def epstein2_continued(
     The Bessel double sum decays like exp(-2 pi sqrt(a1/a2) n m) and is
     truncated adaptively; Gamma ratios are computed in log space.
     """
-    from scipy import special
-
     ctl = ctl or SeriesControl()
     if a1 <= 0.0 or a2 <= 0.0:
         raise DomainError("epstein2_continued requires positive a1, a2")
@@ -207,15 +205,31 @@ def epstein2_continued(
         raise PoleError(
             "continuation not evaluated at nonpositive integer z", location=z
         )
-
     nu = z - 0.5
-    head = -0.5 * a1 ** (-z) * riemann_zeta(2.0 * z)
-    head += (
-        0.5
-        * math.sqrt(math.pi / a2)
-        * _gamma_ratio(z - 0.5, z)
-        * epstein1_closed(z - 0.5, a1)
-    )
+    if nu < 0.0 and nu == math.floor(nu):
+        # Gamma(z - 1/2) has a pole where zeta(2z - 1) has a trivial zero:
+        # the product is finite, but the head is 0 * inf here
+        raise PoleError(
+            "continuation not evaluated at negative half-integer z", location=z
+        )
+
+    from scipy import special
+
+    try:
+        head = -0.5 * a1 ** (-z) * riemann_zeta(2.0 * z)
+        head += (
+            0.5
+            * math.sqrt(math.pi / a2)
+            * _gamma_ratio(z - 0.5, z)
+            * epstein1_closed(z - 0.5, a1)
+        )
+    except OverflowError:
+        head = math.inf
+    if not math.isfinite(head):
+        raise DomainError(
+            f"the continuation's closed-form head at z={z!r}, a1={a1!r}, a2={a2!r} "
+            "is not finite"
+        )
 
     pref = (
         2.0

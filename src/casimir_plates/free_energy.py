@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from . import epstein
 from .errors import (
+    ConvergenceError,
     DomainError,
     SlowConvergenceError,
     UnsupportedRepresentationError,
@@ -37,7 +38,6 @@ from .specfun import (
     EvalResult,
     SeriesControl,
     riemann_zeta,
-    sum_until,
 )
 
 __all__ = [
@@ -63,6 +63,11 @@ __all__ = [
 class PlateKind(enum.Enum):
     BOYER_MIXED = "boyer"
     CONDUCTOR_CONDUCTOR = "conductor"
+
+    # members are singletons compared by identity, so the identity hash is
+    # consistent with equality; Enum's own hashes the name in Python code,
+    # on every lookup of the hot path's tables keyed by the kind
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,12 @@ _HALVES = {
     PlateKind.BOYER_MIXED: ((2.0, 0.125), (1.0, -1.0)),
     PlateKind.CONDUCTOR_CONDUCTOR: ((1.0, 1.0),),
 }
+# the halves with w times the route's series prefactor, as (a, w scale, |w scale|)
+_SERIES_HALVES = {
+    (kind, route, p): tuple((a, w * scale[p], abs(w * scale[p])) for a, w in halves)
+    for kind, halves in _HALVES.items() for route, scale in _SERIES_SCALE.items()
+    for p in (False, True)
+}
 # the monomials of each pair combined over its halves, c sum_h w_h a_h^k:
 # exactly 0 for the Boyer pair's zeta(3) x^3 term
 _PAIR_MONOMIALS = {
@@ -183,7 +194,7 @@ _DEFAULT_CTL = SeriesControl()
 
 
 def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
-    """Series part of the conducting-pair profile g(x), or of p(x).
+    """Terms of the series part of the conducting-pair profile g(x), or of p(x).
 
     Every term is positive.  coth route, s = n/(2x):
       g: sum_n 4x^3/n^3 (coth s - 1) + 2x^2/n^2 csch^2 s,
@@ -192,37 +203,78 @@ def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
       g: sum_m [x (coth u - 1) + 2 pi^2 m x^2 csch^2 u] / m^3,
       p: the same plus (2 pi^2 m)^2 x^3 coth u csch^2 u in the bracket.
     With e = e^(-v) and D = 1 - e^(-2v): csch v = 2e/D, coth v - 1 = 2e^2/D.
-    Returns (sum, tail bound, terms) of :func:`sum_until`.
+
+    The tail bound is proven from the first term.  With r = e^(-rate)
+    (rate = 1/x on the coth route, 4 pi^2 x on the Poisson route) e^(-2v)
+    is r^n, and each of the four term types is r^n times a sum of positive
+    factors n^-k (k = 1, 2, 3) D^-j (j = 1, 2, 3), the ones with coth also
+    times 1 + r^n; none increases with n, since D = 1 - r^n grows.  So
+    every ratio of successive terms is at most r, the tail after a term t
+    is at most t r/(1 - r), and q t with q = 2r/(1 - r) bounds it with a
+    factor 2 to spare for rounding.
+
+    The sum stops at the first n with q t <= tol partial, where tol is
+    min(rel_tol, eps/2) below ``ctl.min_terms`` (a sum leaves before that
+    floor only once its tail cannot move the double result) and rel_tol
+    from there on.  Returns (terms, tail bound); running into
+    ``ctl.max_terms`` is a ConvergenceError, as in :func:`sum_until`.
     """
-    if route == "coth":
+    coth = route == "coth"
+    if coth:
         rate = 1.0 / x
-
-        def term(n):
-            s = 0.5 * n / x
-            e = math.exp(-s)
-            den = -math.expm1(-2.0 * s)
-            ish = 2.0 * e / den
-            if pressure:
-                return x * (1.0 + e * ish) * ish * ish / n
-            return 2.0 * x * x / (n * n) * (2.0 * x / n * e * ish + ish * ish)
-
     else:
         rate = 4.0 * math.pi**2 * x
         c = 2.0 * math.pi**2 * x
-
-        def term(m):
-            u = c * m
+    q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+    min_terms, rel_tol = ctl.min_terms, ctl.rel_tol
+    early_tol = min(rel_tol, 0.5 * _EPS)
+    parts = []
+    total = 0.0
+    for n in range(1, ctl.max_terms + 1):
+        if coth:
+            s = 0.5 * n / x
+            e = math.exp(-s)
+            ish = 2.0 * e / -math.expm1(-2.0 * s)
+            if pressure:
+                t = x * (1.0 + e * ish) * ish * ish / n
+            else:
+                t = 2.0 * x * x / (n * n) * (2.0 * x / n * e * ish + ish * ish)
+        else:
+            u = c * n
             e = math.exp(-u)
             ish = 2.0 * e / -math.expm1(-2.0 * u)
             a = u * ish
             t = e * ish + a * ish
             if pressure:
                 t += a * a * (1.0 + e * ish)
-            return x * t / m**3
+            t = x * t / n**3
+        parts.append(t)
+        total += t
+        bound = q * t
+        if bound <= (rel_tol if n >= min_terms else early_tol) * total:
+            return parts, bound
+    raise ConvergenceError(
+        f"conductor {route} series: no convergence within {ctl.max_terms} terms"
+    )
 
-    # twice the geometric tail r/(1 - r) after the last term, r = e^(-rate)
-    q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
-    return sum_until(term, lambda n, t: q * t, ctl, f"conductor {route} series")
+
+def _pair_series(
+    kind: PlateKind, xi: float, route: str, pressure: bool, ctl: SeriesControl | None
+):
+    """Series part of a plate pair's d^3 F (pressure: d^4 P) on route 'coth'
+    or 'poisson': its halves' kernel sums, weighted and scaled.
+
+    Returns (sum, error bar, terms); the bar is each half's tail bound plus
+    8 eps of its series for rounding.
+    """
+    total, err, terms = 0.0, 0.0, 0
+    for a, ws, abs_ws in _SERIES_HALVES[kind, route, pressure]:
+        parts, bound = _conductor_series(a * xi, route, pressure, ctl or _DEFAULT_CTL)
+        s = math.fsum(parts)
+        total += ws * s
+        err += abs_ws * (bound + 8.0 * _EPS * s)
+        terms += len(parts)
+    return total, err, terms
 
 
 def _pair_profile(
@@ -234,27 +286,21 @@ def _pair_profile(
     monomials are combined over the halves first, so the Boyer pair's
     zeta(3) x^3 terms cancel exactly.  Route 'zero-T' keeps the monomials
     alone, with error bar 0 by convention: every series term underflows
-    there.  Otherwise the bar is each half's tail bound and rounding floor
-    plus eps |value| per rounding of the combination and its scaling; a
-    value outside the float range is a DomainError.
+    there.  Otherwise the bar is that of :func:`_pair_series` plus 4 eps of
+    the monomials and eps |value| per rounding of the combination and its
+    scaling; a value outside the float range is a DomainError.
     """
-    series, err, terms = [], 0.0, 0
+    s_part, err, terms = 0.0, 0.0, 0
     try:
         parts = [
             c * xi**k
             for c, k in _PAIR_MONOMIALS[kind, "poisson" if route == "poisson" else "coth", pressure]
         ]
         if route != "zero-T":
-            scale = _SERIES_SCALE[route][pressure]
-            for a, w in _HALVES[kind]:
-                s, bound, n = _conductor_series(a * xi, route, pressure, ctl or _DEFAULT_CTL)
-                series.append(w * scale * s)
-                err += abs(w * scale) * (bound + 8.0 * _EPS * s)
-                terms += n
+            s_part, err, terms = _pair_series(kind, xi, route, pressure, ctl)
             err += 4.0 * _EPS * sum(map(abs, parts))
         # at most two parts each, so plain sums round once, like fsum; a
         # non-finite half gives inf or nan here, caught below
-        s_part = sum(series)
         value = sum(parts) + s_part
     except OverflowError:
         value = math.inf
@@ -369,16 +415,34 @@ def free_energy_poisson(
     return _pair(sys, t.xi, "poisson", ctl)
 
 
+def _lattice_in_range(xi: float, evaluate):
+    """(value, err, terms) = evaluate(w) at w = 2 pi xi, with a float
+    overflow in it (a lattice coefficient, an Epstein sum or a closed-form
+    term) as a DomainError naming xi."""
+    w = 2.0 * math.pi * xi
+    try:
+        # (2 w)^2 is the largest lattice coefficient of either lattice form
+        out = evaluate(w) if math.isfinite(4.0 * w * w) else None
+    except OverflowError:
+        out = None
+    if out is None or not (math.isfinite(out[0]) and math.isfinite(out[1])):
+        raise DomainError(f"the lattice sum at xi={xi!r} overflows the floating-point range")
+    return out
+
+
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Non-trivial (neither zero-T nor Stefan-Boltzmann) part of the
     conducting-plate scaled free energy, as a positive-quadrant lattice sum."""
     if not xi > 0.0:
         raise DomainError("f_nontrivial requires xi > 0")
     ctl = ctl or SeriesControl()
-    w = 2.0 * math.pi * xi
-    r = epstein.epstein_direct(epstein.EpsteinParams(2.0, (w * w, 1.0)), ctl)
-    q = w**4 / (4.0 * math.pi**2)
-    return EvalResult(-q * r.value, q * r.abs_err_est, r.terms_used, "lattice")
+
+    def evaluate(w):
+        r = epstein.epstein_direct(epstein.EpsteinParams(2.0, (w * w, 1.0)), ctl)
+        q = w**4 / (4.0 * math.pi**2)
+        return -q * r.value, q * r.abs_err_est, r.terms_used
+
+    return EvalResult(*_lattice_in_range(xi, evaluate), "lattice")
 
 
 def f_conducting_lattice(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -417,25 +481,25 @@ def free_energy_lattice(
     """
     _require_boyer(sys, "lattice")
     ctl = ctl or SeriesControl()
-    w = 2.0 * math.pi * t.xi
     z4 = riemann_zeta(4.0)
-    e_even = epstein.epstein_direct(
-        epstein.EpsteinParams(2.0, (1.0, (2.0 * w) ** 2)), ctl
-    )
-    e_all = epstein.epstein_direct(epstein.EpsteinParams(2.0, (1.0, w * w)), ctl)
-    raw = (
-        2.0 * w**4 * z4
-        - 1.75 * z4
-        + 4.0 * w**4 * (2.0 * e_even.value - e_all.value)
-    )
-    q = 1.0 / (16.0 * math.pi**2)
-    value = -q * raw
-    err = q * 4.0 * w**4 * (2.0 * e_even.abs_err_est + e_all.abs_err_est)
-    return EvalResult(
-        *_per_area(value, err + 1e-15 * abs(value), sys.d, 3),
-        e_even.terms_used + e_all.terms_used,
-        "lattice",
-    )
+
+    def evaluate(w):
+        e_even = epstein.epstein_direct(
+            epstein.EpsteinParams(2.0, (1.0, (2.0 * w) ** 2)), ctl
+        )
+        e_all = epstein.epstein_direct(epstein.EpsteinParams(2.0, (1.0, w * w)), ctl)
+        raw = (
+            2.0 * w**4 * z4
+            - 1.75 * z4
+            + 4.0 * w**4 * (2.0 * e_even.value - e_all.value)
+        )
+        q = 1.0 / (16.0 * math.pi**2)
+        value = -q * raw
+        err = q * 4.0 * w**4 * (2.0 * e_even.abs_err_est + e_all.abs_err_est)
+        return value, err + 1e-15 * abs(value), e_even.terms_used + e_all.terms_used
+
+    value, err, terms = _lattice_in_range(t.xi, evaluate)
+    return EvalResult(*_per_area(value, err, sys.d, 3), terms, "lattice")
 
 
 def _blackbody_tail_integral(y: float, tol: float):
@@ -458,15 +522,21 @@ def _blackbody_tail_integral(y: float, tol: float):
 
 
 def free_energy_mode_integral(
-    sys: PlateSystem, t: ThermalPoint, quadrature_tol: float = 1e-12
+    sys: PlateSystem,
+    t: ThermalPoint,
+    ctl: SeriesControl | None = None,
+    quadrature_tol: float = 1e-12,
 ) -> EvalResult:
     """Mode-sum quadrature oracle for the free energy.
 
     Independent of every series representation: the thermal part is the
     black-body integrand integrated above each discrete transverse
-    threshold, for conducting pairs at separations 2d and d.
+    threshold, for conducting pairs at separations 2d and d.  The threshold
+    sum needs about 70 xi thresholds; past ``ctl.max_terms`` of them it
+    is a SlowConvergenceError.
     """
     _require_boyer(sys, "mode-integral")
+    ctl = ctl or SeriesControl()
     xi = t.xi
     parts = []
     qerr = 0.0
@@ -481,8 +551,11 @@ def free_energy_mode_integral(
             1e-300, abs(math.fsum(parts))
         ):
             break
-        if n > 10**6:
-            raise SlowConvergenceError("mode integral: threshold sum too long")
+        if n >= ctl.max_terms:
+            raise SlowConvergenceError(
+                f"mode integral: no convergence within {ctl.max_terms} thresholds "
+                f"at xi={xi!r}; use the poisson representation"
+            )
     # d^3 F = d^3 E_0 - pi^2 xi^3 f, i.e. F = E_0 - f/(pi beta^3)
     q = math.pi**2 * xi**3
     value = _pair_profile(sys.kind, 0.0, "zero-T", False)[0] - q * math.fsum(parts)
@@ -578,7 +651,7 @@ def evaluate_free_energy(
     if rep is RepresentationKind.LATTICE:
         return free_energy_lattice(sys, t, ctl)
     if rep is RepresentationKind.MODE_INTEGRAL:
-        return free_energy_mode_integral(sys, t)
+        return free_energy_mode_integral(sys, t, ctl)
     raise UnsupportedRepresentationError(f"unknown representation {rep!r}")
 
 

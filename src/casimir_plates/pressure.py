@@ -21,6 +21,7 @@ from .free_energy import (
     PlateSystem,
     ThermalPoint,
     _pair_profile,
+    _pair_series,
     _per_area,
     _require_boyer,
     _route,
@@ -57,7 +58,7 @@ def _check_thermodynamics(xi: float, route: str, p_series: float, ctl: SeriesCon
         return
 
     def f(x):
-        return _pair_profile(PlateKind.BOYER_MIXED, x, route, False, ctl)[1]
+        return _pair_series(PlateKind.BOYER_MIXED, x, route, False, ctl)[0]
 
     analytic = 3.0 * f(xi) - p_series
     fd = xi * (f(xi + h) - f(xi - h)) / (2.0 * h)

@@ -29,7 +29,11 @@ class SeriesControl:
     A series evaluator stops only once its bounded tail estimate drops
     below ``rel_tol`` times the magnitude of the partial sum; running into
     ``max_terms`` raises :class:`~casimir_plates.errors.ConvergenceError`
-    instead of returning silently.
+    instead of returning silently.  ``min_terms`` is a floor for the series
+    whose tail estimate is heuristic.  The conductor kernel, whose tail
+    bound is proven from the first term, may stop before it, once that
+    bound is below min(rel_tol, eps/2) of the partial sum: where its tail
+    cannot move the double result.
     """
 
     rel_tol: float = 1e-12

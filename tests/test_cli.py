@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,25 @@ class TestEvalErrors:
         assert captured.out == ""
         assert "floating-point range" in captured.err
 
+    @pytest.mark.parametrize("system", ["boyer", "conductor"])
+    def test_lattice_overflow_is_a_domain_error(self, system, capsys):
+        # the Epstein sums overflow inside; the error names xi
+        assert run_main(["eval", "--quantity", "free_energy", "--rep", "lattice",
+                         "--system", system, "--xi", "1e60"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xi=1e+60" in captured.err and "floating-point range" in captured.err
+
+    def test_mode_integral_threshold_budget(self, capsys):
+        # about 70 xi thresholds are needed; the budget ends the sum promptly
+        t0 = time.perf_counter()
+        assert run_main(["eval", "--quantity", "free_energy", "--rep", "mode-integral",
+                         "--xi", "1e5", "--max-terms", "100"]) == 3
+        assert time.perf_counter() - t0 < 20.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "within 100 thresholds" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -251,13 +271,18 @@ class TestEvalErrors:
 
     @settings(max_examples=12, deadline=None)
     @given(
-        st.sampled_from(["lattice", "mode-integral"]),
+        st.sampled_from([("lattice", 1e300), ("mode-integral", 10.0)]).flatmap(
+            lambda rep_max: st.tuples(
+                st.just(rep_max[0]),
+                st.floats(math.log(1e-2), math.log(rep_max[1])).map(math.exp),
+            )
+        ),
         st.sampled_from(["boyer", "conductor"]),
-        st.floats(math.log(1e-2), math.log(10.0)).map(math.exp),
         st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
     )
-    def test_validation_eval_is_finite_or_exit_3(self, rep, system, xi, d):
-        # the validation forms overflow in the d scaling, not in xi
+    def test_validation_eval_is_finite_or_exit_3(self, rep_xi, system, d):
+        # the lattice sums overflow at large xi, both forms in the d scaling
+        rep, xi = rep_xi
         assert_finite_or_exit_3(["eval", "--quantity", "free_energy", "--system", system,
                                  "--rep", rep, "--xi", repr(xi), "--d", repr(d),
                                  "--max-terms", "100000"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -139,6 +140,21 @@ class TestContinuation:
             epstein2_continued(0.0, 1.0, 1.0, CTL)
         with pytest.raises(PoleError):
             epstein2_continued(-2.0, 1.0, 1.0, CTL)
+
+    @pytest.mark.parametrize("z", [-0.5, -1.5, -2.5])
+    def test_negative_half_integers_end_at_once(self, z):
+        # Gamma(z - 1/2) meets a trivial zero of zeta(2z - 1) there, so the
+        # closed-form head is 0 * inf, and no stop test on it can pass
+        t0 = time.perf_counter()
+        with pytest.raises(PoleError):
+            epstein2_continued(z, 1.0, 4.0, CTL)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_nonfinite_head_ends_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="head"):
+            epstein2_continued(-200.3, 1.0, 4.0, CTL)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from casimir_plates import (
     CasimirError,
+    ConvergenceError,
     DomainError,
     PlateKind,
     PlateSystem,
@@ -20,9 +21,11 @@ from casimir_plates import (
     UnsupportedRepresentationError,
     evaluate_free_energy,
     free_energy_auto,
+    pressure_auto,
     zero_temperature_energy,
 )
 from casimir_plates.free_energy import (
+    _conductor_series,
     _pair_profile,
     f_conducting_lattice,
     f_conducting_single,
@@ -385,6 +388,84 @@ class TestConductorKernel:
         r = free_energy_auto(conductor(), xi)
         assert r.rep == "poisson"
         assert r.terms_used <= 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 5.0), st.sampled_from(["coth", "poisson"]), st.booleans())
+    def test_term_ratio_is_at_most_the_tail_ratio(self, x, route, pressure):
+        # the ratio bound that makes the tail bound q t, q = 2r/(1 - r),
+        # rigorous from the first term on; checked down to where the
+        # terms lose precision near the underflow threshold
+        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
+        r = math.exp(-rate)
+        terms, bound = _conductor_series(x, route, pressure, SeriesControl(rel_tol=1e-250))
+        assert terms[0] > 0.0
+        normal = [t for t in terms if t >= 1e-290]
+        assert all(b <= r * a for a, b in zip(normal, normal[1:]))
+        for n in range(len(normal) - 1):
+            assert math.fsum(normal[n + 1:]) <= normal[n] * r / -math.expm1(-rate)
+        assert bound == 2.0 * r / -math.expm1(-rate) * terms[-1]
+
+    @pytest.mark.parametrize("route", ["coth", "poisson"])
+    @pytest.mark.parametrize("pressure", [False, True])
+    @pytest.mark.parametrize("x", [0.005, 0.05, 0.1, 0.3, 1.0, 5.0, 20.0])
+    def test_stop_rule(self, route, pressure, x):
+        # below the min_terms floor a sum stops once its proven tail bound
+        # is below half an ulp of the partial sum; from the floor on, at
+        # rel_tol, which is where the floor-first rule stopped too
+        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
+        q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+        ctl = SeriesControl()
+        eps = 2.0**-52
+        terms, bound = _conductor_series(x, route, pressure, ctl)
+        partial = [math.fsum(terms[: n + 1]) for n in range(len(terms))]
+
+        def stops(n, tol):  # n counts from 0
+            return q * terms[n] <= tol * partial[n]
+
+        n_stop = len(terms) - 1
+        tol_at = [ctl.rel_tol if n + 1 >= ctl.min_terms else min(ctl.rel_tol, eps / 2)
+                  for n in range(len(terms))]
+        assert stops(n_stop, tol_at[n_stop])
+        assert not any(stops(n, tol_at[n]) for n in range(n_stop))
+        assert bound <= ctl.rel_tol * partial[-1]
+
+    @pytest.mark.parametrize("route", ["coth", "poisson"])
+    @pytest.mark.parametrize("pressure", [False, True])
+    @pytest.mark.parametrize("x", [0.005, 0.05, 0.1, 0.3, 1.0, 5.0])
+    def test_tight_tolerance_is_honoured(self, route, pressure, x):
+        # below eps/2 the requested tolerance applies from the first term:
+        # a sum never stops before its proven tail is below 1e-17 of it,
+        # stops where the floor-first rule did wherever that rule ran past
+        # the floor, and returns the same double wherever it stops sooner
+        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
+        q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+        tight = SeriesControl(rel_tol=1e-17)
+        terms, bound = _conductor_series(x, route, pressure, tight)
+        partial = [math.fsum(terms[: n + 1]) for n in range(len(terms))]
+        assert bound <= 1e-17 * partial[-1]
+        assert not any(q * terms[n] <= 1e-17 * partial[n] for n in range(len(terms) - 1))
+        # the floor-first rule on a longer run of the same terms; any term
+        # past its end is below 1e-300 of the sum
+        longer, _ = _conductor_series(x, route, pressure, SeriesControl(rel_tol=1e-300))
+        floor_n = next((n + 1 for n in range(tight.min_terms - 1, len(longer))
+                        if q * longer[n] <= 1e-17 * math.fsum(longer[: n + 1])), tight.min_terms)
+        assert len(terms) <= floor_n
+        if floor_n > tight.min_terms:
+            assert len(terms) == floor_n
+        floor_sum = math.fsum(longer[:floor_n])
+        assert abs(partial[-1] - floor_sum) <= math.ulp(floor_sum)
+
+    def test_max_terms_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="conductor coth series"):
+            _conductor_series(5.0, "coth", False, SeriesControl(max_terms=20, min_terms=8))
+
+    def test_routed_term_counts(self):
+        # pinned below the min_terms floor of 8 per sum, which the kernel's
+        # sums need not reach: a Boyer profile has two sums, a conducting
+        # one a single sum
+        assert free_energy_auto(boyer(), 0.01).terms_used <= 2
+        assert free_energy_auto(conductor(), 1e5).terms_used <= 1
+        assert pressure_auto(1.0, 1.0).terms_used <= 4
 
     def test_router_splits_at_self_dual_point(self):
         split = 1.0 / (2.0 * math.pi)

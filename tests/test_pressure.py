@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from casimir_plates import (
     CasimirError,
     DomainError,
+    InternalConsistencyError,
     PlateKind,
     PlateSystem,
     SeriesControl,
@@ -21,12 +22,14 @@ from casimir_plates import (
     pressure_auto,
     pressure_zero_T,
 )
+from casimir_plates import pressure as pressure_module
 from casimir_plates.pressure import (
     pressure_high_T,
     pressure_net_dfdxi,
     pressure_poisson,
     pressure_thermal_log,
 )
+from casimir_plates.verification import GRIDS
 
 TIGHT = SeriesControl(rel_tol=1e-14)
 
@@ -239,3 +242,32 @@ class TestValidation:
         except CasimirError:
             return
         assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
+
+
+class TestInPathCheck:
+    """The check of P = 3F - xi dF/dxi that runs on every routed pressure."""
+
+    @staticmethod
+    def _tamper(monkeypatch):
+        # scale the composed pressure's series part by (1 + 1e-5)
+        real = pressure_module._pair_profile
+
+        def tampered(kind, xi, route, pressure, ctl=None):
+            value, series, err, terms = real(kind, xi, route, pressure, ctl)
+            if pressure:
+                series *= 1.0 + 1e-5
+            return value, series, err, terms
+
+        monkeypatch.setattr(pressure_module, "_pair_profile", tampered)
+
+    @pytest.mark.parametrize("xi, rep", [(0.1, "dfdxi"), (0.5, "poisson")])
+    def test_fires_on_a_tampered_series(self, monkeypatch, xi, rep):
+        assert pressure_auto(1.0, xi).rep == rep
+        self._tamper(monkeypatch)
+        with pytest.raises(InternalConsistencyError, match=f"xi={xi}"):
+            pressure_auto(1.0, xi)
+
+    @pytest.mark.parametrize("xi", GRIDS["default"])
+    def test_passes_untampered(self, xi):
+        r = pressure_auto(1.0, xi)
+        assert math.isfinite(r.value) and r.value > 0.0
