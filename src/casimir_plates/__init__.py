@@ -21,7 +21,7 @@ from .free_energy import (
     free_energy_auto,
     zero_temperature_energy,
 )
-from .pressure import evaluate_pressure, pressure_auto, pressure_zero_T
+from .pressure import pressure_auto, pressure_zero_T
 from .specfun import EvalResult, SeriesControl
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_free_energy",
     "free_energy_auto",
     "zero_temperature_energy",
-    "evaluate_pressure",
     "pressure_auto",
     "pressure_zero_T",
     "__version__",

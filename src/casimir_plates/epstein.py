@@ -231,11 +231,18 @@ def epstein2_continued(
             "is not finite"
         )
 
-    pref = (
-        2.0
-        * math.pi**z
-        / (float(special.gamma(z)) * a2 ** (0.5 * z + 0.25))
-    )
+    try:
+        pref = (
+            2.0
+            * math.pi**z
+            / (float(special.gamma(z)) * a2 ** (0.5 * z + 0.25))
+        )
+    except (OverflowError, ZeroDivisionError):
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise DomainError(
+            f"the continuation's Bessel-sum prefactor at z={z!r}, a2={a2!r} is not finite"
+        )
     w = 2.0 * math.pi * math.sqrt(a1 / a2)
     sqrt_a1 = math.sqrt(a1)
 
@@ -266,4 +273,8 @@ def epstein2_continued(
     bessel = pref * math.fsum(parts)
     value = head + bessel
     err = ctl.rel_tol * (abs(head) + abs(bessel)) + 1e-15 * abs(value)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(
+            f"the continuation at z={z!r}, a1={a1!r}, a2={a2!r} is not finite"
+        )
     return EvalResult(value=value, abs_err_est=err, terms_used=terms, rep="continued")

@@ -37,7 +37,6 @@ from .specfun import (
     ZETA3,
     EvalResult,
     SeriesControl,
-    riemann_zeta,
 )
 
 __all__ = [
@@ -397,52 +396,47 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
 
 
 def free_energy_poisson(
-    sys: PlateSystem,
-    t: ThermalPoint,
-    ctl: SeriesControl | None = None,
-    xi_floor: float = _POISSON_XI_FLOOR,
+    sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """F/L^2 from the Poisson-resummed (high-temperature friendly) form.
 
-    Below ``xi_floor`` convergence degrades; callers are redirected to the
+    Below xi = 0.05 convergence degrades; callers are redirected to the
     coth/double forms.
     """
-    if t.xi < xi_floor:
+    if t.xi < _POISSON_XI_FLOOR:
         raise SlowConvergenceError(
-            f"poisson representation converges slowly for xi < {xi_floor}; "
+            f"poisson representation converges slowly for xi < {_POISSON_XI_FLOOR}; "
             "use the coth or double representation"
         )
     return _pair(sys, t.xi, "poisson", ctl)
 
 
-def _lattice_in_range(xi: float, evaluate):
-    """(value, err, terms) = evaluate(w) at w = 2 pi xi, with a float
-    overflow in it (a lattice coefficient, an Epstein sum or a closed-form
-    term) as a DomainError naming xi."""
-    w = 2.0 * math.pi * xi
-    try:
-        # (2 w)^2 is the largest lattice coefficient of either lattice form
-        out = evaluate(w) if math.isfinite(4.0 * w * w) else None
-    except OverflowError:
-        out = None
-    if out is None or not (math.isfinite(out[0]) and math.isfinite(out[1])):
-        raise DomainError(f"the lattice sum at xi={xi!r} overflows the floating-point range")
-    return out
-
-
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Non-trivial (neither zero-T nor Stefan-Boltzmann) part of the
-    conducting-plate scaled free energy, as a positive-quadrant lattice sum."""
+    conducting-plate scaled free energy, as a positive-quadrant lattice sum.
+
+    The quadrant is E(2; 1, w^2) = E(2; w^2, 1) with w = 2 pi xi; the engine
+    sums the last coefficient's axis outermost, and with w^2 there it takes
+    fewer terms than the other order from xi ~ 0.2 up (half as many from
+    xi ~ 0.5), where most lattice halves lie.
+    """
     if not xi > 0.0:
         raise DomainError("f_nontrivial requires xi > 0")
     ctl = ctl or SeriesControl()
-
-    def evaluate(w):
-        r = epstein.epstein_direct(epstein.EpsteinParams(2.0, (w * w, 1.0)), ctl)
-        q = w**4 / (4.0 * math.pi**2)
-        return -q * r.value, q * r.abs_err_est, r.terms_used
-
-    return EvalResult(*_lattice_in_range(xi, evaluate), "lattice")
+    w = 2.0 * math.pi * xi
+    value = err = math.inf
+    try:
+        # a float overflow in the lattice coefficient, the Epstein sum or
+        # its scaling ends below as a DomainError naming xi
+        if math.isfinite(w * w):
+            r = epstein.epstein_direct(epstein.EpsteinParams(2.0, (1.0, w * w)), ctl)
+            q = w**4 / (4.0 * math.pi**2)
+            value, err = -q * r.value, q * r.abs_err_est
+    except OverflowError:
+        pass
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the lattice sum at xi={xi!r} overflows the floating-point range")
+    return EvalResult(value, err, r.terms_used, "lattice")
 
 
 def f_conducting_lattice(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -450,11 +444,15 @@ def f_conducting_lattice(xi: float, ctl: SeriesControl | None = None) -> EvalRes
 
     The axis lines of the lattice carry the Stefan-Boltzmann term
     -pi^6 xi^4/45 (m-axis) and the zero-temperature term -pi^2/720
-    (n-axis); the open quadrant is the non-trivial part.
+    (n-axis); the open quadrant is the non-trivial part.  The error bar is
+    the quadrant's, plus 4 eps of each of the three parts for their
+    rounding and 2 eps |value| for that of their sum.
     """
     nt = f_nontrivial(xi, ctl)
-    value = -math.pi**6 * xi**4 / 45.0 - math.pi**2 / 720.0 + nt.value
-    return EvalResult(value, nt.abs_err_est, nt.terms_used, "lattice")
+    parts = (-math.pi**6 * xi**4 / 45.0, -math.pi**2 / 720.0, nt.value)
+    value = sum(parts)
+    err = nt.abs_err_est + 4.0 * _EPS * sum(map(abs, parts)) + 2.0 * _EPS * abs(value)
+    return EvalResult(value, err, nt.terms_used, "lattice")
 
 
 def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -472,37 +470,34 @@ def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResu
 def free_energy_lattice(
     sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """F/L^2 from the alternating integer-lattice representation.
+    """F/L^2 of either plate pair from the lattice sums of its conducting
+    halves: w times :func:`f_conducting_lattice` at a xi for each half
+    (a, w), scaled by d^-3 once.
 
-    The alternating-in-m lattice is reorganized exactly into its axis
-    lines (closed forms) plus even/odd positive quadrants, each evaluated
-    as an Epstein sum; this reaches well beyond the ~1e-6 accuracy a raw
-    shell truncation of the conditionally convergent sum can deliver.
+    The error bar is the halves' bars weighted by |w|, plus 2 eps |value|
+    for the rounding of the combination and of the scaling.  A half whose
+    lattice leaves the float range is a DomainError naming this xi.
     """
-    _require_boyer(sys, "lattice")
-    ctl = ctl or SeriesControl()
-    z4 = riemann_zeta(4.0)
-
-    def evaluate(w):
-        e_even = epstein.epstein_direct(
-            epstein.EpsteinParams(2.0, (1.0, (2.0 * w) ** 2)), ctl
-        )
-        e_all = epstein.epstein_direct(epstein.EpsteinParams(2.0, (1.0, w * w)), ctl)
-        raw = (
-            2.0 * w**4 * z4
-            - 1.75 * z4
-            + 4.0 * w**4 * (2.0 * e_even.value - e_all.value)
-        )
-        q = 1.0 / (16.0 * math.pi**2)
-        value = -q * raw
-        err = q * 4.0 * w**4 * (2.0 * e_even.abs_err_est + e_all.abs_err_est)
-        return value, err + 1e-15 * abs(value), e_even.terms_used + e_all.terms_used
-
-    value, err, terms = _lattice_in_range(t.xi, evaluate)
-    return EvalResult(*_per_area(value, err, sys.d, 3), terms, "lattice")
+    value, err, terms = 0.0, 0.0, 0
+    for a, w in _HALVES[sys.kind]:
+        try:
+            half = f_conducting_lattice(a * t.xi, ctl)
+        except DomainError as exc:
+            raise DomainError(
+                f"the lattice sum at xi={t.xi!r} is outside the floating-point range"
+            ) from exc
+        value += w * half.value
+        err += abs(w) * half.abs_err_est
+        terms += half.terms_used
+    return EvalResult(*_per_area(value, err + 2.0 * _EPS * abs(value), sys.d, 3), terms, "lattice")
 
 
-def _blackbody_tail_integral(y: float, tol: float):
+# absolute tolerance of each quadrature, and the relative size of the last
+# threshold's integral at which the mode integral stops
+_MODE_TOL = 1e-14
+
+
+def _blackbody_tail_integral(y: float):
     """J(y) = int_y^inf u ln(1 - e^-u) du by adaptive quadrature."""
     from scipy import integrate
 
@@ -514,7 +509,7 @@ def _blackbody_tail_integral(y: float, tol: float):
             lambda u: u * math.log(-math.expm1(-u)) if u > 0 else 0.0,
             y,
             math.inf,
-            epsabs=max(tol, 1e-14),
+            epsabs=_MODE_TOL,
             epsrel=1e-12,
             limit=200,
         )
@@ -522,10 +517,7 @@ def _blackbody_tail_integral(y: float, tol: float):
 
 
 def free_energy_mode_integral(
-    sys: PlateSystem,
-    t: ThermalPoint,
-    ctl: SeriesControl | None = None,
-    quadrature_tol: float = 1e-12,
+    sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """Mode-sum quadrature oracle for the free energy.
 
@@ -543,13 +535,11 @@ def free_energy_mode_integral(
     n = 0
     while True:
         n += 1
-        j1, e1 = _blackbody_tail_integral(0.5 * n / xi, 0.01 * quadrature_tol)
-        j2, e2 = _blackbody_tail_integral(n / xi, 0.01 * quadrature_tol)
+        j1, e1 = _blackbody_tail_integral(0.5 * n / xi)
+        j2, e2 = _blackbody_tail_integral(n / xi)
         parts.append(j2 - j1)
         qerr += e1 + e2
-        if n >= 4 and abs(j1) < 0.01 * quadrature_tol * max(
-            1e-300, abs(math.fsum(parts))
-        ):
+        if n >= 4 and abs(j1) < _MODE_TOL * max(1e-300, abs(math.fsum(parts))):
             break
         if n >= ctl.max_terms:
             raise SlowConvergenceError(
@@ -563,28 +553,35 @@ def free_energy_mode_integral(
     return EvalResult(*_per_area(value, err, sys.d, 3), 2 * n, "mode-integral")
 
 
-def _asymptotic_profile(kind: PlateKind, xi: float, high: bool) -> float:
-    """d^3 F of a plate pair from its low- or high-temperature closed form.
+def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False) -> float:
+    """d^3 F of a plate pair from its low- or high-temperature closed form;
+    with ``pressure``, d^4 P from the high-temperature one.
 
     The conducting profile g(x) is its closed-form monomials (those of the
     kernel's coth route at low, of its Poisson route at high temperature)
     plus one exponential, -pi^2 x^2 (x + 1) e^(-1/x) at low and
-    -x (1/4 + pi^2 x) e^(-4 pi^2 x) at high temperature.  A pair is its
-    halves' monomials plus the exponential of its slowest half (largest x
-    at low, smallest at high temperature); for the Boyer pair the other
-    half's is the next, dropped, order.  So at high temperature the Boyer
-    correction enters with a plus sign: the half at separation d carries
-    weight -1.
+    -x (1/4 + pi^2 x) e^(-4 pi^2 x) at high temperature.  The pressure
+    profile p = 3 g - x g' has the monomials (3 - k) c x^k and, at high
+    temperature, the exponential -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4.
+    A pair is its halves' monomials plus the exponential of its slowest
+    half (largest x at low, smallest at high temperature); for the Boyer
+    pair the other half's is the next, dropped, order.  So at high
+    temperature the Boyer correction enters with a plus sign: the half at
+    separation d carries weight -1.
     """
     a, w = (min if high else max)(_HALVES[kind])
     x = a * xi
     try:
         if high:
-            e = -x * (0.25 + math.pi**2 * x) * math.exp(-4.0 * math.pi**2 * x)
+            r = math.exp(-4.0 * math.pi**2 * x)
+            if pressure:
+                e = -0.25 * x * (2.0 + 8.0 * math.pi**2 * x + 16.0 * math.pi**4 * x * x) * r
+            else:
+                e = -x * (0.25 + math.pi**2 * x) * r
         else:
             e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
         value = w * e + sum(c * xi**k for c, k in _PAIR_MONOMIALS[
-            kind, "poisson" if high else "coth", False])
+            kind, "poisson" if high else "coth", pressure])
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -631,14 +628,13 @@ def evaluate_free_energy(
         return _pair(sys, t.xi, "coth", ctl)
     if rep is RepresentationKind.POISSON:
         return free_energy_poisson(sys, t, ctl)
+    if rep is RepresentationKind.LATTICE:
+        return free_energy_lattice(sys, t, ctl)
     if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
-        if rep is not RepresentationKind.LATTICE:
-            raise UnsupportedRepresentationError(
-                f"representation '{rep.value}' is not available for "
-                "conductor-conductor plates"
-            )
-        r = f_conducting_lattice(t.xi, ctl)
-        return EvalResult(*_per_area(r.value, r.abs_err_est, sys.d, 3), r.terms_used, r.rep)
+        raise UnsupportedRepresentationError(
+            f"representation '{rep.value}' is not available for "
+            "conductor-conductor plates"
+        )
     if rep in (RepresentationKind.DOUBLE_SUM, RepresentationKind.BESSEL):
         # d^3 F = d^3 E_0 - pi^2 xi^3 f(xi), i.e. F = E_0 - f/(pi beta^3)
         f, q = f_scaled_double(t.xi, ctl), math.pi**2 * t.xi**3
@@ -648,8 +644,6 @@ def evaluate_free_energy(
         # of the d^-3 scaling, as in _pair_profile
         err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
         return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
-    if rep is RepresentationKind.LATTICE:
-        return free_energy_lattice(sys, t, ctl)
     if rep is RepresentationKind.MODE_INTEGRAL:
         return free_energy_mode_integral(sys, t, ctl)
     raise UnsupportedRepresentationError(f"unknown representation {rep!r}")

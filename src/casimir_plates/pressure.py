@@ -6,8 +6,8 @@ d^4 P = p(2 xi)/8 - p(xi) with p = 3 g - x g', on its coth route
 (``dfdxi``) or its Poisson route (``poisson``).  Each composed value runs
 one in-path check of P = 3F - xi dF/dxi against a central difference of the
 composed free-energy profile, where that difference is accurate enough.
-The thermal-log series and the high-temperature closed form are
-independent evaluations.
+The thermal-log series is an independent evaluation; the high-temperature
+closed form is the pressure profile of the free energy's.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from .free_energy import (
     PlateKind,
     PlateSystem,
     ThermalPoint,
+    _asymptotic_profile,
     _pair_profile,
     _pair_series,
     _per_area,
     _require_boyer,
     _route,
 )
-from .specfun import ZETA3, EvalResult, SeriesControl, sum_until
+from .specfun import EvalResult, SeriesControl, sum_until
 
 __all__ = [
     "pressure_zero_T",
@@ -34,7 +35,7 @@ __all__ = [
     "pressure_thermal_log",
     "pressure_poisson",
     "pressure_high_T",
-    "evaluate_pressure",
+    "pressure_auto",
 ]
 
 
@@ -89,7 +90,8 @@ def pressure_net_dfdxi(
 def pressure_thermal_log(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """Thermal pressure from the n^2 log(1 - e^(-n/2xi)) series.
+    """Thermal pressure from the n^2 log(1 - e^(-n/2xi)) series,
+    d^4 P = -pi^2 xi sum_n n^2 [log(1 - e^(-n/2xi))/4 - log(1 - e^(-n/xi))].
 
     Exposed primarily for cross-validation: pressure_zero_T plus this
     value reproduces the other net-pressure forms.
@@ -97,7 +99,7 @@ def pressure_thermal_log(
     PlateSystem(d)  # validates d
     ctl = ctl or SeriesControl()
     xi = t.xi
-    rr = math.exp(-0.5 / xi)
+    ratio = math.exp(-0.5 / xi) / -math.expm1(-0.5 / xi)  # r/(1 - r), r = e^(-1/2xi)
 
     def logf(x):
         # log(1 - e^-x), accurate for both small and large x
@@ -109,57 +111,43 @@ def pressure_thermal_log(
         return n * n * (0.25 * logf(0.5 * n / xi) - logf(n / xi))
 
     def tail(n, tn):
-        return 2.0 * abs(tn) * rr / (1.0 - rr)
+        return 2.0 * abs(tn) * ratio
 
     total, bound, n = sum_until(term, tail, ctl, "pressure_thermal_log")
-    q = -1.0 / (math.pi**2 * t.beta(d) ** 4 * xi**3)
-    value = q * total
-    return EvalResult(value, abs(q) * bound + 1e-16 * abs(value), n, "thermal-log")
+    q = math.pi**2 * xi
+    value = -q * total
+    return EvalResult(*_per_area(value, q * bound + 1e-16 * abs(value), d, 4), n, "thermal-log")
 
 
 def pressure_poisson(
-    t: ThermalPoint,
-    d: float,
-    ctl: SeriesControl | None = None,
-    xi_floor: float = _POISSON_XI_FLOOR,
+    t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """All-temperature net pressure from the kernel's Poisson series:
     d^4 P = p(2 xi)/8 - p(xi) with
     p = pi^6 x^4/45 - zeta(3) x/4 - (1/4) sum_m [...]/m^3."""
     PlateSystem(d)  # validates d
-    if t.xi < xi_floor:
+    if t.xi < _POISSON_XI_FLOOR:
         raise SlowConvergenceError(
-            f"pressure_poisson converges too slowly below xi={xi_floor}; "
+            f"pressure_poisson converges too slowly below xi={_POISSON_XI_FLOOR}; "
             "use pressure_net_dfdxi"
         )
     return _pressure(d, t.xi, "poisson", ctl, "poisson")
 
 
 def pressure_high_T(t: ThermalPoint, d: float) -> float:
-    """High-temperature (xi >~ 1) closed form of the net pressure.
+    """High-temperature (xi >~ 1) closed form of the net pressure,
+    d^4 P = pi^6 xi^4/45 + 3 zeta(3) xi/16
+    + xi (2 + 8 pi^2 xi + 16 pi^4 xi^2) e^(-4 pi^2 xi)/4.
 
-    The zeta(3)/(16 d^3 beta) term carries a 1/pi that drops out of some
-    printed versions of this asymptote; the form here is the exact
-    d-derivative of the high-temperature free energy and matches the
-    Poisson representation to relative 1e-6 already at beta = 0.1, d = 1.
+    It is the pressure profile of the high-temperature free energy's closed
+    form.  In physical units the zeta(3) term is 3 zeta(3)/(16 pi d^3 beta);
+    its 1/pi drops out of some printed versions of this asymptote.  It
+    matches the Poisson representation to relative 1e-6 already at
+    beta = 0.1, d = 1.
     """
     PlateSystem(d)  # validates d
-    beta = t.beta(d)
-    e = math.exp(-4.0 * math.pi * d / beta)
-    return (
-        math.pi**2 / (45.0 * beta**4)
-        + 3.0 * ZETA3 / (16.0 * math.pi * d**3 * beta)
-        + e
-        / (2.0 * math.pi * d**3 * beta)
-        * (1.0 + 4.0 * math.pi * d / beta + 8.0 * math.pi**2 * d * d / (beta * beta))
-    )
-
-
-def evaluate_pressure(
-    t: ThermalPoint, d: float, ctl: SeriesControl | None = None
-) -> EvalResult:
-    """Routed net pressure at a thermal point (see :func:`pressure_auto`)."""
-    return pressure_auto(d, t.xi, ctl)
+    value = _asymptotic_profile(PlateKind.BOYER_MIXED, t.xi, True, True)
+    return _per_area(value, 0.0, d, 4)[0]
 
 
 def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> EvalResult:

@@ -5,8 +5,9 @@ conducting-pair free energies at separations 2d and d.  Each of those
 obeys an exact inversion relation connecting low and high temperature;
 the Boyer combination itself does not, because its boundary conditions
 are not symmetric under the inversion.  ``free_energy`` composes the
-production values from this split.  This module exposes the split as
-lattice-checked halves, the residuals of the inversion relations, the two
+production values from this split, and this module exposes its halves
+from the same kernel (``casimir verify`` checks the kernel against the
+lattice sums), the residuals of the inversion relations, the two
 summation identities used to derive them, and the two classic applications
 (Stefan-Boltzmann term to zero-temperature energy, and the high-T to low-T
 mapping).
@@ -17,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .free_energy import (
+    _HALVES,
+    PlateKind,
     PlateSystem,
     ThermalPoint,
     _per_area,
     evaluate_free_energy,
-    f_conducting_lattice,
     f_conducting_single,
     f_nontrivial,
     free_energy_low_T,
@@ -55,6 +57,10 @@ XI_FIXED_F2 = 1.0 / (2.0 * math.pi)
 XI_FIXED_NONTRIVIAL = 1.0 / (2.0 * math.pi)
 
 
+# separations of the halves F1 and F2, in units of d
+(_A1, _), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
+
+
 @dataclass(frozen=True)
 class SplitFreeEnergies:
     """Conducting-pair free energies F1 (separation 2d) and F2
@@ -65,37 +71,24 @@ class SplitFreeEnergies:
     xi: float
 
 
-def _conducting_checked(x: float, a: float, ctl: SeriesControl | None, what: str) -> EvalResult:
-    """F/L^2 of the conducting pair at separation a and its own scaled
-    temperature x: the tight single sum, cross-checked against the relaxed
-    lattice evaluation to 1e-5."""
-    if not x > 0.0:
-        raise DomainError(f"{what} requires xi > 0")
-    if not a > 0.0:
-        raise DomainError(f"{what} requires d > 0")
-    tight = f_conducting_single(x, ctl)
-    relaxed = f_conducting_lattice(x, SeriesControl(rel_tol=1e-10))
-    tol = max(1e-5, 1e-9 * abs(tight.value))
-    if abs(tight.value - relaxed.value) > tol:
-        raise InternalConsistencyError(
-            f"conducting profile mismatch at xi={x}: single={tight.value!r} "
-            f"lattice={relaxed.value!r}"
-        )
-    return EvalResult(*_per_area(tight.value, tight.abs_err_est, a, 3), tight.terms_used, tight.rep)
+def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None, what: str):
+    """F/L^2 of the Boyer pair's conducting half at separation a d, which
+    sees its own scaled temperature a xi: the kernel's profile at a xi
+    divided by (a d)^3."""
+    if not (xi > 0.0 and d > 0.0):
+        raise DomainError(f"{what} requires xi > 0 and d > 0")
+    r = f_conducting_single(a * xi, ctl)
+    return EvalResult(*_per_area(r.value, r.abs_err_est, a * d, 3), r.terms_used, r.rep)
 
 
 def f1_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """F1/L^2: conducting pair at separation 2d, scaled temperature xi.
-
-    The pair at separation 2d sees its own scaled temperature 2 xi, so
-    F1 is the dimensionless conducting profile at 2 xi divided by (2d)^3.
-    """
-    return _conducting_checked(2.0 * xi, 2.0 * d, ctl, "f1_eval")
+    """F1/L^2: conducting pair at separation 2d, scaled temperature xi."""
+    return _conducting_half(_A1, xi, d, ctl, "f1_eval")
 
 
 def f2_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
     """F2/L^2: conducting pair at separation d, scaled temperature xi."""
-    return _conducting_checked(xi, d, ctl, "f2_eval")
+    return _conducting_half(_A2, xi, d, ctl, "f2_eval")
 
 
 def split_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> SplitFreeEnergies:

@@ -29,7 +29,7 @@ from .free_energy import (
     free_energy_poisson,
 )
 from .pressure import (
-    evaluate_pressure,
+    pressure_auto,
     pressure_high_T,
     pressure_net_dfdxi,
     pressure_poisson,
@@ -66,6 +66,13 @@ GRIDS = {
 }
 
 _CTL = SeriesControl(rel_tol=1e-14)
+# the lattice sums behind the conductor-kernel row: at this tolerance each
+# takes a few ms, and the row compares against their bar, which scales with it
+_LATTICE_CTL = SeriesControl(rel_tol=1e-10)
+_KERNEL_VS_LATTICE_X = (
+    0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 1.0 / (2.0 * math.pi),
+    *(1.0 / (c * math.pi**2) for c in (0.4, 0.8, 2.0, 4.0, 8.0, 16.0)),
+)
 
 
 def _check(name: str, residual: float, tol: float) -> Check:
@@ -142,7 +149,7 @@ def _pressure(grid, out: list):
         h = 1e-5 * d
         fp = free_energy_auto(PlateSystem(d + h), (d + h) / (math.pi * beta), _CTL).value
         fm = free_energy_auto(PlateSystem(d - h), (d - h) / (math.pi * beta), _CTL).value
-        p = evaluate_pressure(ThermalPoint.from_xi(xi, d), d, _CTL).value
+        p = pressure_auto(d, xi, _CTL).value
         worst_fd = max(worst_fd, abs(p + (fp - fm) / (2.0 * h)) / abs(p))
     out.append(_check("pressure/energy-consistency", worst_fd, 1e-5))
     t = ThermalPoint.from_xi(0.05, 1.0)
@@ -204,6 +211,15 @@ def _split(out: list):
             1e-18,
         )
     )
+    # the kernel that serves f1_eval and f2_eval against the lattice sums, at
+    # the arguments x = a xi the TIS checks give it on the default grid
+    worst = 0.0
+    for x in _KERNEL_VS_LATTICE_X:
+        single = f_conducting_single(x, _CTL)
+        lattice = f_conducting_lattice(x, _LATTICE_CTL)
+        worst = max(worst, abs(single.value - lattice.value)
+                    / (single.abs_err_est + lattice.abs_err_est))
+    out.append(_check("split/conductor-kernel-vs-lattice", worst, 1.0))
 
 
 def _zero_t_anchors(out: list):
@@ -213,8 +229,6 @@ def _zero_t_anchors(out: list):
     # above the anchor tolerance; probe deeper where it has died off
     fc = f_conducting_single(0.004, _CTL).value
     out.append(_check("anchors/conductor-zero-T", abs(fc + math.pi**2 / 720.0), 1e-6))
-    from .pressure import pressure_auto
-
     p = pressure_auto(1.0, 0.02, _CTL).value
     out.append(_check("anchors/pressure-zero-T", abs(p - 0.875 * math.pi**2 / 240.0), 1e-5))
 

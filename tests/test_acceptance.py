@@ -3,6 +3,7 @@ per criterion.  Each test records a single PASS/FAIL line (echoed in the
 terminal summary) and then asserts."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from casimir_plates import epstein as ep
 from casimir_plates.cli import main as cli_main
 from casimir_plates.free_energy import free_energy_high_T, free_energy_low_T
 from casimir_plates.pressure import (
+    _pressure,
     pressure_high_T,
     pressure_net_dfdxi,
     pressure_poisson,
@@ -133,9 +135,8 @@ def test_acceptance_04_poisson_zero_T_cancellation():
         pressure_poisson(ThermalPoint.from_xi(0.05, 1.0), 1.0, TIGHT).value - p0
     ) / p0
     r4 = abs(
-        pressure_poisson(
-            ThermalPoint.from_xi(0.04, 1.0), 1.0, TIGHT, xi_floor=0.03
-        ).value
+        # the Poisson route itself: pressure_poisson refuses xi < 0.05
+        _pressure(1.0, 0.04, "poisson", TIGHT, "poisson").value
         - p0
     ) / p0
     ok = r5 <= 2e-4 and r4 <= 1e-4
@@ -243,7 +244,7 @@ def test_acceptance_10_figure_reproduction(tmp_path):
         assert cli_main(["figure", str(i), "--out", p]) == 0
 
     def rows(path):
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         return lines[0].split(","), [
             [float(x) for x in r.split(",")] for r in lines[1:]
         ]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,8 +307,8 @@ class TestSweep:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run_main(args + ["--out", p1]) == 0
         assert run_main(args + ["--out", p2]) == 0
-        b1 = open(p1, "rb").read()
-        assert b1 == open(p2, "rb").read()
+        b1 = Path(p1).read_bytes()
+        assert b1 == Path(p2).read_bytes()
         lines = b1.decode().splitlines()
         assert lines[0] == "xi,value,abs_err_est,rep"
         assert len(lines) == 8
@@ -321,7 +322,7 @@ class TestSweep:
             ["sweep", "--quantity", "pressure", "--xi-min", "0.1", "--xi-max", "10",
              "--points", "5", "--spacing", "log", "--out", out]
         ) == 0
-        xs = [float(r.split(",")[0]) for r in open(out).read().splitlines()[1:]]
+        xs = [float(r.split(",")[0]) for r in Path(out).read_text().splitlines()[1:]]
         ratios = [b / a for a, b in zip(xs, xs[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-12) for r in ratios)
 
@@ -331,6 +332,20 @@ class TestSweep:
             ["sweep", "--quantity", "pressure", "--xi-min", "0.1", "--xi-max", "1",
              "--points", "3", "--out", out]
         ) == 4
+
+
+DEFAULT_BATTERY_ROWS = {
+    "equivalence/double-vs-coth", "equivalence/poisson-vs-coth",
+    "equivalence/mode-integral-vs-coth", "equivalence/lattice-vs-coth",
+    "equivalence/conductor-poisson-vs-coth",
+    "tis/f1", "tis/f2", "tis/nontrivial", "tis/fixed-points", "tis/boyer-naive-fails",
+    "identities/alternating-and-plain",
+    "pressure/dfdxi-vs-poisson", "pressure/energy-consistency", "pressure/zero-T-cancellation",
+    "asymptotics/low-T", "asymptotics/high-T", "asymptotics/pressure-high-T",
+    "epstein/continuation-vs-direct", "epstein/exchange-and-homogeneity",
+    "split/f1-minus-f2", "split/sb-to-casimir", "split/conductor-kernel-vs-lattice",
+    "anchors/boyer-zero-T", "anchors/conductor-zero-T", "anchors/pressure-zero-T",
+}
 
 
 class TestVerify:
@@ -344,6 +359,13 @@ class TestVerify:
         assert run_main(["verify", "--grid", "coarse", "--tamper", "bessel-sign"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_default_battery_rows(self):
+        checks = run_all("default")
+        names = {c.name for c in checks}
+        assert names >= DEFAULT_BATTERY_ROWS
+        assert not any(name.startswith("error/") for name in names)
+        assert all(c.passed for c in checks)
 
     def test_tamper_is_transient(self):
         # a tampered run must not poison later evaluations
@@ -359,7 +381,7 @@ class TestFigures:
     def test_figure_csv_shape(self, fid, ncols, tmp_path):
         out = str(tmp_path / f"fig{fid}.csv")
         assert run_main(["figure", str(fid), "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) >= 201  # header + at least 200 points
         assert len(lines[0].split(",")) == ncols
         assert all(len(r.split(",")) == ncols for r in lines[1:])
@@ -367,7 +389,7 @@ class TestFigures:
     def test_figure_points_are_honoured(self, tmp_path):
         out = str(tmp_path / "fig1.csv")
         assert run_main(["figure", "1", "--points", "50", "--out", out]) == 0
-        assert len(open(out).read().splitlines()) == 1 + 50
+        assert len(Path(out).read_text().splitlines()) == 1 + 50
 
     def test_figure_needs_two_points(self, tmp_path, capsys):
         out = str(tmp_path / "fig1.csv")
@@ -377,7 +399,7 @@ class TestFigures:
     def test_figure3_matches_pressure_at_origin(self, tmp_path):
         out = str(tmp_path / "fig3.csv")
         assert run_main(["figure", "3", "--out", out]) == 0
-        first = open(out).read().splitlines()[1].split(",")
+        first = Path(out).read_text().splitlines()[1].split(",")
         assert float(first[1]) == pytest.approx(
             0.875 * math.pi**2 / 240.0, rel=1e-12
         )
@@ -423,6 +445,9 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     codes["sweep"] = cli.main(argv)
     for fid in ("1", "2", "3"):
         codes["figure " + fid] = cli.main(["figure", fid, "--points", "50", "--out", out])
+    from casimir_plates.symmetry import f1_eval, f2_eval
+    f1_eval(0.5, 1.0)
+    f2_eval(0.5, 1.0)
     before = sorted(m for m in ("scipy", "numpy") if m in sys.modules)
     lattice = cli.main(["eval", "--quantity", "free_energy", "--rep", "lattice", "--xi", "0.5"])
 print(json.dumps({"codes": codes, "before": before, "lattice": lattice,

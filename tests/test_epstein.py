@@ -156,6 +156,16 @@ class TestContinuation:
             epstein2_continued(-200.3, 1.0, 4.0, CTL)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize(
+        "z,a1,a2", [(0.3, 1e-300, 1e300), (3.0, 1.0, 1e-300)],
+        ids=["bessel-sum", "prefactor"],
+    )
+    def test_nonfinite_result_is_a_domain_error(self, z, a1, a2):
+        # sqrt(a1/a2) underflows, so every Bessel term is K(0) = inf; and
+        # a2^(z/2 + 1/4) underflows, so the prefactor divides by zero
+        with pytest.raises(DomainError, match="not finite"):
+            epstein2_continued(z, a1, a2, CTL)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             epstein2_continued(2.0, -1.0, 1.0, CTL)

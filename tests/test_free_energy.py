@@ -66,6 +66,16 @@ def _mpmath_conductor(xi):
     return zero_t - q * total
 
 
+def _mpmath_conductor_any(xi):
+    """:func:`_mpmath_conductor` at any xi: above the self-dual point
+    1/(2 pi) through the temperature inversion g(x) = (2 pi x)^4 g(1/(4 pi^2 x)),
+    so the coth sum is only summed where it converges fast."""
+    x = mpmath.mpf(xi)
+    if x <= 1 / (2 * mpmath.pi):
+        return _mpmath_conductor(x)
+    return (2 * mpmath.pi * x) ** 4 * _mpmath_conductor(1 / (4 * mpmath.pi**2 * x))
+
+
 def _mpmath_f_scaled(xi, prec=40):
     """Oracle: the conducting profile in arbitrary precision, as a float."""
     with mpmath.workdps(prec):
@@ -344,6 +354,24 @@ class TestValidation:
                 t = ThermalPoint.from_xi(xi, 1.0)
                 r = evaluate_free_energy(boyer(), t, TIGHT, rep)
                 assert abs(r.value - ref) <= 10.0 * r.abs_err_est + 1e-12 * abs(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(1e-2), math.log(50.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+        st.sampled_from(["boyer", "conductor"]),
+    )
+    def test_lattice_error_estimates(self, xi, d, kind):
+        # the halves' Epstein bars plus the rounding of their closed-form
+        # axis terms, of the quadrant's scaling and of the combination
+        with mpmath.workdps(40):
+            if kind == "boyer":
+                ref = _mpmath_conductor_any(2.0 * xi) / 8 - _mpmath_conductor_any(xi)
+            else:
+                ref = _mpmath_conductor_any(xi)
+            ref /= mpmath.mpf(d) ** 3
+            r = evaluate_free_energy(PlateSystem(d, kind), ThermalPoint(xi), None, "lattice")
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
 
     @settings(max_examples=40, deadline=None)
     @given(

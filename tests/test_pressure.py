@@ -6,7 +6,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import (
@@ -140,11 +140,10 @@ class TestCancellationAndAsymptotics:
         # from the large-term cancellation; at xi = 0.04 it is below 1e-4
         d = 1.0
         p0 = pressure_zero_T(boyer(d))
-        got5 = pressure_poisson(ThermalPoint.from_xi(0.05, d), d, TIGHT,
-                                xi_floor=0.03).value
+        got5 = pressure_poisson(ThermalPoint.from_xi(0.05, d), d, TIGHT).value
         assert got5 == pytest.approx(p0, rel=2e-4)
-        got4 = pressure_poisson(ThermalPoint.from_xi(0.04, d), d, TIGHT,
-                                xi_floor=0.03).value
+        # the Poisson route itself: pressure_poisson refuses xi < 0.05
+        got4 = pressure_module._pressure(d, 0.04, "poisson", TIGHT, "poisson").value
         assert got4 == pytest.approx(p0, rel=1e-4)
 
     @pytest.mark.parametrize("beta,rtol", [(0.1, 1e-6), (0.5, 1e-3)])
@@ -242,6 +241,28 @@ class TestValidation:
         except CasimirError:
             return
         assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["thermal-log", "high-T"]),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    )
+    @example("thermal-log", 1e-3, 1e-120)
+    @example("thermal-log", 1e17, 1.0)
+    @example("thermal-log", 5.0, 1e100)
+    def test_explicit_forms_are_finite_or_typed_error(self, form, xi, d):
+        # a small term budget: the thermal-log series needs about 150 xi terms
+        t = ThermalPoint(xi)
+        try:
+            if form == "thermal-log":
+                r = pressure_thermal_log(t, d, SeriesControl(max_terms=2000))
+                value, err = r.value, r.abs_err_est
+            else:
+                value, err = pressure_high_T(t, d), 0.0
+        except CasimirError:
+            return
+        assert math.isfinite(value) and math.isfinite(err)
 
 
 class TestInPathCheck:
