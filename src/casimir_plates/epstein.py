@@ -19,6 +19,7 @@ results are returned as Python floats.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -65,6 +66,22 @@ def _tail_integral_1d(z: float, a: float, c: float, x0: float) -> float:
     )
 
 
+def _odd_x_derivatives(h, up: float, us: float):
+    """g', g''', g^(5), g^(7) of g(x) = G(u(x)) for u quadratic in x, from
+    h[j] = G^(j)(u), j = 0..7, and u', u'' at the point (the chain rule
+    with u''' = 0)."""
+    g1 = h[1] * up
+    g3 = h[3] * up**3 + 3.0 * h[2] * up * us
+    g5 = h[5] * up**5 + 10.0 * h[4] * up**3 * us + 15.0 * h[3] * up * us**2
+    g7 = (
+        h[7] * up**7
+        + 21.0 * h[6] * up**5 * us
+        + 105.0 * h[5] * up**3 * us**2
+        + 105.0 * h[4] * up * us**3
+    )
+    return g1, g3, g5, g7
+
+
 class _LatticeSum:
     """Recursive lattice summation engine with per-axis EM tail closure.
 
@@ -92,24 +109,13 @@ class _LatticeSum:
         d/du E(z, u) = -z E(z+1, u), so the chain rule turns every x
         derivative into a combination of shifted-exponent lattice sums.
         """
-        up = 2.0 * an * x0  # u'
-        us = 2.0 * an       # u''
         h = [0.0] * 8       # h[j] = (d/du)^j E(z; u)
         sgn_poch = 1.0
         h[0] = self.value(z, rest, u)
         for j in range(1, 8):
             sgn_poch *= -(z + j - 1.0)
             h[j] = sgn_poch * self.value(z + j, rest, u)
-        g1 = h[1] * up
-        g3 = h[3] * up**3 + 3.0 * h[2] * up * us
-        g5 = h[5] * up**5 + 10.0 * h[4] * up**3 * us + 15.0 * h[3] * up * us**2
-        g7 = (
-            h[7] * up**7
-            + 21.0 * h[6] * up**5 * us
-            + 105.0 * h[5] * up**3 * us**2
-            + 105.0 * h[4] * up * us**3
-        )
-        return h[0], g1, g3, g5, g7
+        return (h[0], *_odd_x_derivatives(h, 2.0 * an * x0, 2.0 * an))
 
     def _axis(self, z: float, a: tuple, c: float) -> float:
         an = a[-1]
@@ -127,14 +133,19 @@ class _LatticeSum:
             if rest:
                 from scipy import integrate
 
-                integral, qerr = integrate.quad(
-                    lambda x: self.value(z, rest, c + an * x * x),
-                    x0,
-                    math.inf,
-                    epsabs=1e-300,
-                    epsrel=1e-12,
-                    limit=200,
-                )
+                with warnings.catch_warnings():
+                    # near the roundoff floor quad reports its own limitation
+                    # (at xi ~ 1e5..1e7 in the free-energy lattice); its
+                    # error estimate still enters the bar through quad_err
+                    warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                    integral, qerr = integrate.quad(
+                        lambda x: self.value(z, rest, c + an * x * x),
+                        x0,
+                        math.inf,
+                        epsabs=1e-300,
+                        epsrel=1e-12,
+                        limit=200,
+                    )
                 self.quad_err += qerr
             else:
                 integral = _tail_integral_1d(z, an, c, x0)
@@ -247,6 +258,7 @@ def epstein2_continued(
     sqrt_a1 = math.sqrt(a1)
 
     parts = []
+    running = 0.0  # the terms' plain sum, for the stop rule; the value uses fsum
     terms = 0
     partial = abs(head)
     n = 0
@@ -267,7 +279,8 @@ def epstein2_continued(
                 row_top = abs(t)
             if abs(t) <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
                 break
-            partial = abs(head) + abs(pref) * abs(math.fsum(parts))
+            running += t
+            partial = abs(head) + abs(pref) * abs(running)
         if n >= ctl.min_terms and row_top <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
             break
     bessel = pref * math.fsum(parts)

@@ -69,6 +69,11 @@ class PlateKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+def _require_separation(d: float):
+    if not (d > 0.0 and math.isfinite(d)):
+        raise DomainError(f"plate separation d must be finite and positive, got {d!r}")
+
+
 @dataclass(frozen=True)
 class PlateSystem:
     """Plate separation and boundary-condition kind."""
@@ -77,8 +82,7 @@ class PlateSystem:
     kind: PlateKind = PlateKind.BOYER_MIXED
 
     def __post_init__(self):
-        if not (self.d > 0.0 and math.isfinite(self.d)):
-            raise DomainError(f"plate separation d must be finite and positive, got {self.d!r}")
+        _require_separation(self.d)
         if not isinstance(self.kind, PlateKind):
             object.__setattr__(self, "kind", PlateKind(self.kind))
 
@@ -176,18 +180,30 @@ _HALVES = {
     PlateKind.BOYER_MIXED: ((2.0, 0.125), (1.0, -1.0)),
     PlateKind.CONDUCTOR_CONDUCTOR: ((1.0, 1.0),),
 }
-# the halves with w times the route's series prefactor, as (a, w scale, |w scale|)
-_SERIES_HALVES = {
-    (kind, route, p): tuple((a, w * scale[p], abs(w * scale[p])) for a, w in halves)
-    for kind, halves in _HALVES.items() for route, scale in _SERIES_SCALE.items()
-    for p in (False, True)
-}
-# the monomials of each pair combined over its halves, c sum_h w_h a_h^k:
-# exactly 0 for the Boyer pair's zeta(3) x^3 term
-_PAIR_MONOMIALS = {
-    (kind, route, p): [(c * (3 - k if p else 1) * math.fsum(w * a**k for a, w in halves), k)
-                       for c, k in _MONOMIALS[route]]
-    for kind, halves in _HALVES.items() for route in _MONOMIALS for p in (False, True)
+
+
+def _plan(halves, route: str, p: bool):
+    """What :func:`_pair_profile` composes on a route: the pair's two
+    monomials combined over its halves, (c sum_h w_h a_h^k, k), exactly 0
+    for the Boyer pair's zeta(3) x^3 term; and its series halves as
+    (a, w scale, |w scale|), scale the route's series prefactor.  Route
+    'zero-T' has the coth route's monomials and no series."""
+    monomials = tuple(
+        (c * (3 - k if p else 1) * math.fsum(w * a**k for a, w in halves), k)
+        for c, k in _MONOMIALS["poisson" if route == "poisson" else "coth"]
+    )
+    if route == "zero-T":
+        return monomials, ()
+    scale = _SERIES_SCALE[route][p]
+    return monomials, tuple((a, w * scale, abs(w * scale)) for a, w in halves)
+
+
+# _PLANS[kind][route] is (free-energy plan, pressure plan), indexed by the
+# pressure flag, so a routed evaluation looks its plan up once
+_PLANS = {
+    kind: {route: (_plan(halves, route, False), _plan(halves, route, True))
+           for route in ("zero-T", "coth", "poisson")}
+    for kind, halves in _HALVES.items()
 }
 _DEFAULT_CTL = SeriesControl()
 
@@ -210,7 +226,8 @@ def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
     times 1 + r^n; none increases with n, since D = 1 - r^n grows.  So
     every ratio of successive terms is at most r, the tail after a term t
     is at most t r/(1 - r), and q t with q = 2r/(1 - r) bounds it with a
-    factor 2 to spare for rounding.
+    factor 2 to spare for rounding.  The first term's 2v is the rate bit for
+    bit, so its D is the 1 - r of q.
 
     The sum stops at the first n with q t <= tol partial, where tol is
     min(rel_tol, eps/2) below ``ctl.min_terms`` (a sum leaves before that
@@ -220,29 +237,27 @@ def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
     """
     coth = route == "coth"
     if coth:
-        rate = 1.0 / x
+        v = 0.5 / x
     else:
-        rate = 4.0 * math.pi**2 * x
         c = 2.0 * math.pi**2 * x
-    q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+        v = c
+    dm = -math.expm1(-2.0 * v)
+    q = 2.0 * math.exp(-2.0 * v) / dm
     min_terms, rel_tol = ctl.min_terms, ctl.rel_tol
     early_tol = min(rel_tol, 0.5 * _EPS)
     parts = []
     total = 0.0
-    for n in range(1, ctl.max_terms + 1):
+    n = 1
+    while True:
+        e = math.exp(-v)
+        ish = 2.0 * e / dm
         if coth:
-            s = 0.5 * n / x
-            e = math.exp(-s)
-            ish = 2.0 * e / -math.expm1(-2.0 * s)
             if pressure:
                 t = x * (1.0 + e * ish) * ish * ish / n
             else:
                 t = 2.0 * x * x / (n * n) * (2.0 * x / n * e * ish + ish * ish)
         else:
-            u = c * n
-            e = math.exp(-u)
-            ish = 2.0 * e / -math.expm1(-2.0 * u)
-            a = u * ish
+            a = v * ish
             t = e * ish + a * ish
             if pressure:
                 t += a * a * (1.0 + e * ish)
@@ -252,28 +267,13 @@ def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
         bound = q * t
         if bound <= (rel_tol if n >= min_terms else early_tol) * total:
             return parts, bound
-    raise ConvergenceError(
-        f"conductor {route} series: no convergence within {ctl.max_terms} terms"
-    )
-
-
-def _pair_series(
-    kind: PlateKind, xi: float, route: str, pressure: bool, ctl: SeriesControl | None
-):
-    """Series part of a plate pair's d^3 F (pressure: d^4 P) on route 'coth'
-    or 'poisson': its halves' kernel sums, weighted and scaled.
-
-    Returns (sum, error bar, terms); the bar is each half's tail bound plus
-    8 eps of its series for rounding.
-    """
-    total, err, terms = 0.0, 0.0, 0
-    for a, ws, abs_ws in _SERIES_HALVES[kind, route, pressure]:
-        parts, bound = _conductor_series(a * xi, route, pressure, ctl or _DEFAULT_CTL)
-        s = math.fsum(parts)
-        total += ws * s
-        err += abs_ws * (bound + 8.0 * _EPS * s)
-        terms += len(parts)
-    return total, err, terms
+        if n == ctl.max_terms:
+            raise ConvergenceError(
+                f"conductor {route} series: no convergence within {ctl.max_terms} terms"
+            )
+        n += 1
+        v = 0.5 * n / x if coth else c * n
+        dm = -math.expm1(-2.0 * v)
 
 
 def _pair_profile(
@@ -281,37 +281,48 @@ def _pair_profile(
 ):
     """d^3 F (pressure: d^4 P) of a plate pair, composed from the kernel.
 
-    Returns (value, series part, error bar, terms).  The closed-form
-    monomials are combined over the halves first, so the Boyer pair's
-    zeta(3) x^3 terms cancel exactly.  Route 'zero-T' keeps the monomials
-    alone, with error bar 0 by convention: every series term underflows
-    there.  Otherwise the bar is that of :func:`_pair_series` plus 4 eps of
-    the monomials and eps |value| per rounding of the combination and its
-    scaling; a value outside the float range is a DomainError.
+    Returns (value, series part, error bar, terms).  The series part is the
+    halves' kernel sums, weighted and scaled; the closed-form monomials are
+    combined over the halves first, so the Boyer pair's zeta(3) x^3 terms
+    cancel exactly.  Route 'zero-T' keeps the monomials alone, with error
+    bar 0 by convention: every series term underflows there.  Otherwise the
+    bar is each half's tail bound plus 8 eps of its series for rounding,
+    4 eps of the monomials, and eps |value| per rounding of the combination
+    and its scaling; a value outside the float range is a DomainError.
     """
-    s_part, err, terms = 0.0, 0.0, 0
+    ((c0, k0), (c1, k1)), halves = _PLANS[kind][route][pressure]
+    ctl = ctl or _DEFAULT_CTL
+    s_part = err = 0.0
+    terms = 0
     try:
-        parts = [
-            c * xi**k
-            for c, k in _PAIR_MONOMIALS[kind, "poisson" if route == "poisson" else "coth", pressure]
-        ]
-        if route != "zero-T":
-            s_part, err, terms = _pair_series(kind, xi, route, pressure, ctl)
-            err += 4.0 * _EPS * sum(map(abs, parts))
-        # at most two parts each, so plain sums round once, like fsum; a
+        m0 = c0 * xi**k0
+        m1 = c1 * xi**k1
+        for a, ws, abs_ws in halves:
+            parts, bound = _conductor_series(a * xi, route, pressure, ctl)
+            s = math.fsum(parts)
+            s_part += ws * s
+            err += abs_ws * (bound + 8.0 * _EPS * s)
+            terms += len(parts)
+        if halves:
+            err += 4.0 * _EPS * (abs(m0) + abs(m1))
+        # two monomials, so the plain sum rounds once, like fsum; a
         # non-finite half gives inf or nan here, caught below
-        value = sum(parts) + s_part
+        value = m0 + m1 + s_part
     except OverflowError:
         value = math.inf
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"the plate-pair profile at xi={xi!r} overflows the floating-point range")
-    return value, s_part, err + (route != "zero-T") * 2.0 * _EPS * abs(value), terms
+    if halves:
+        err += 2.0 * _EPS * abs(value)
+    return value, s_part, err, terms
 
 
 def _per_area(value: float, err: float, d: float, power: int):
-    """(value, err) times d^-power, one division by d at a time so that no
-    intermediate over- or underflows before the result does."""
-    for _ in range(power):
+    """(value, err) times d^-power, power 3 or 4, one division by d at a
+    time so that no intermediate over- or underflows before the result does."""
+    value = value / d / d / d
+    err = err / d / d / d
+    if power == 4:
         value /= d
         err /= d
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -322,7 +333,8 @@ def _per_area(value: float, err: float, d: float, power: int):
 def _pair(sys: PlateSystem, xi: float, route: str, ctl: SeriesControl | None) -> EvalResult:
     """F/L^2 of the plate pair on one route of the conductor kernel."""
     value, _, err, terms = _pair_profile(sys.kind, xi, route, False, ctl)
-    return EvalResult(*_per_area(value, err, sys.d, 3), terms, route)
+    value, err = _per_area(value, err, sys.d, 3)
+    return EvalResult(value, err, terms, route)
 
 
 def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -580,8 +592,8 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
                 e = -x * (0.25 + math.pi**2 * x) * r
         else:
             e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
-        value = w * e + sum(c * xi**k for c, k in _PAIR_MONOMIALS[
-            kind, "poisson" if high else "coth", pressure])
+        monomials = _PLANS[kind]["poisson" if high else "coth"][pressure][0]
+        value = w * e + sum(c * xi**k for c, k in monomials)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

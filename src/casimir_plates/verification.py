@@ -29,10 +29,12 @@ from .free_energy import (
     free_energy_poisson,
 )
 from .pressure import (
+    _thermodynamic_residual,
     pressure_auto,
     pressure_high_T,
     pressure_net_dfdxi,
     pressure_poisson,
+    pressure_thermal_log,
     pressure_zero_T,
 )
 from .specfun import SeriesControl
@@ -155,6 +157,21 @@ def _pressure(grid, out: list):
     t = ThermalPoint.from_xi(0.05, 1.0)
     cancel = abs(pressure_poisson(t, 1.0, _CTL).value / pressure_zero_T(PlateSystem(1.0)) - 1.0)
     out.append(_check("pressure/zero-T-cancellation", cancel, 2e-4))
+    # P = 3F - xi dF/dxi between the composed pressure and free energy, on
+    # both routes of the kernel
+    worst = max(_thermodynamic_residual(xi, route, _CTL) for xi in grid
+                for route in ("coth", "poisson") if route == "coth" or xi >= fe._POISSON_XI_FLOOR)
+    out.append(_check("pressure/thermodynamic-identity", worst, 1e-6))
+    # the routed pressure against zero-T plus the thermal-log series, which
+    # does not use the conductor kernel, in units of the sum of their bars
+    p0 = pressure_zero_T(PlateSystem(1.0))
+    worst = 0.0
+    for xi in grid:
+        routed = pressure_auto(1.0, xi, _CTL)
+        tlog = pressure_thermal_log(ThermalPoint(xi), 1.0, _CTL)
+        miss = abs(math.fsum((routed.value, -p0, -tlog.value)))
+        worst = max(worst, miss / (routed.abs_err_est + tlog.abs_err_est))
+    out.append(_check("pressure/thermal-log-vs-routed", worst, 1.0))
 
 
 def _asymptotics(out: list):

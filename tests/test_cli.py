@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import cli
@@ -281,8 +281,10 @@ class TestEvalErrors:
         st.sampled_from(["boyer", "conductor"]),
         st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
     )
+    @example(("lattice", math.exp(12.0)), "boyer", 1.0)
     def test_validation_eval_is_finite_or_exit_3(self, rep_xi, system, d):
-        # the lattice sums overflow at large xi, both forms in the d scaling
+        # the lattice sums overflow at large xi, both forms in the d scaling;
+        # at xi ~ 1e5..1e7 their inner quadrature meets its roundoff floor
         rep, xi = rep_xi
         assert_finite_or_exit_3(["eval", "--quantity", "free_energy", "--system", system,
                                  "--rep", rep, "--xi", repr(xi), "--d", repr(d),

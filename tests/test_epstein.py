@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from casimir_plates import epstein
 from casimir_plates.epstein import (
     EpsteinParams,
     epstein1_closed,
@@ -15,6 +19,18 @@ from casimir_plates.errors import DomainError, PoleError
 from casimir_plates.specfun import SeriesControl
 
 CTL = SeriesControl(rel_tol=1e-13)
+
+_SLOW_BESSEL_SUM = """
+import math
+from casimir_plates.epstein import epstein2_continued
+from casimir_plates.errors import CasimirError
+try:
+    r = epstein2_continued(0.3, 1.0, 1e300)
+except CasimirError:
+    print("CasimirError")
+else:
+    print("finite" if math.isfinite(r.value) and math.isfinite(r.abs_err_est) else "nonfinite")
+"""
 
 
 def brute_e2(z: float, a1: float, a2: float, n_cut: int = 1600) -> float:
@@ -155,6 +171,18 @@ class TestContinuation:
         with pytest.raises(DomainError, match="head"):
             epstein2_continued(-200.3, 1.0, 4.0, CTL)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_slow_bessel_sum_ends_in_bounded_time(self):
+        # sqrt(a1/a2) = 1e-150: the Bessel terms barely decay, so the sum
+        # runs to max_terms; its stop rule must not re-sum the terms taken.
+        # A child interpreter, so that a hang fails here after 30 s
+        src = os.path.dirname(os.path.dirname(os.path.abspath(epstein.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        r = subprocess.run([sys.executable, "-c", _SLOW_BESSEL_SUM],
+                           capture_output=True, text=True, env=env, timeout=30)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split()[0] in ("finite", "CasimirError")
 
     @pytest.mark.parametrize(
         "z,a1,a2", [(0.3, 1e-300, 1e300), (3.0, 1.0, 1e-300)],

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from casimir_plates import (
     CasimirError,
     DomainError,
-    InternalConsistencyError,
     PlateKind,
     PlateSystem,
     SeriesControl,
@@ -22,14 +21,16 @@ from casimir_plates import (
     pressure_auto,
     pressure_zero_T,
 )
+from casimir_plates import free_energy as free_energy_module
 from casimir_plates import pressure as pressure_module
 from casimir_plates.pressure import (
+    _thermodynamic_residual,
     pressure_high_T,
     pressure_net_dfdxi,
     pressure_poisson,
     pressure_thermal_log,
 )
-from casimir_plates.verification import GRIDS
+from casimir_plates.verification import GRIDS, run_all
 
 TIGHT = SeriesControl(rel_tol=1e-14)
 
@@ -77,6 +78,22 @@ def _mpmath_pressure_profile(x):
         return mpmath.coth(s) / mpmath.sinh(s) ** 2 / n
 
     return -mpmath.pi**2 / 240 + mpmath.pi**2 * x / 4 * mpmath.nsum(term, [1, mpmath.inf])
+
+
+def _mpmath_thermal_log_profile(xi):
+    """d^4 P of the thermal-log series as an mpmath number: -pi^2 xi
+    sum_n n^2 [log(1 - e^(-n/2xi))/4 - log(1 - e^(-n/xi))], summed until a
+    term is below 1e-45 of the sum.  log1p keeps log(1 - e^-x) from
+    rounding to 0 for large x."""
+    xi = mpmath.mpf(xi)
+    total, n = mpmath.mpf(0), 0
+    while True:
+        n += 1
+        t = n * n * (mpmath.log1p(-mpmath.exp(-n / (2 * xi))) / 4
+                     - mpmath.log1p(-mpmath.exp(-n / xi)))
+        total += t
+        if abs(t) < mpmath.mpf(10) ** -45 * abs(total):
+            return -mpmath.pi**2 * xi * total
 
 
 class TestOracle:
@@ -230,6 +247,18 @@ class TestValidation:
             r = pressure_auto(d, xi)
             assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+    )
+    @example(1.166e-3, 1.0)
+    def test_thermal_log_error_estimate_bounds_true_error(self, xi, d):
+        r = pressure_thermal_log(ThermalPoint(xi), d)
+        with mpmath.workdps(40):
+            ref = _mpmath_thermal_log_profile(xi) / mpmath.mpf(d) ** 4
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err_est
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.one_of(st.just(0.0), st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)),
@@ -266,29 +295,64 @@ class TestValidation:
 
 
 class TestInPathCheck:
-    """The check of P = 3F - xi dF/dxi that runs on every routed pressure."""
+    """The checks of the routed pressure, which run in ``casimir verify``
+    and here, not on every call: P = 3F - xi dF/dxi, and the thermal-log
+    series as an oracle independent of the conductor kernel."""
+
+    ROWS = {"pressure/thermodynamic-identity", "pressure/thermal-log-vs-routed"}
 
     @staticmethod
-    def _tamper(monkeypatch):
-        # scale the composed pressure's series part by (1 + 1e-5)
-        real = pressure_module._pair_profile
-
-        def tampered(kind, xi, route, pressure, ctl=None):
-            value, series, err, terms = real(kind, xi, route, pressure, ctl)
-            if pressure:
-                series *= 1.0 + 1e-5
-            return value, series, err, terms
-
-        monkeypatch.setattr(pressure_module, "_pair_profile", tampered)
+    def _tamper(monkeypatch, route):
+        # scale the Boyer pressure's series part on one route by (1 + 1e-5)
+        # as it enters the routed value
+        plans = free_energy_module._PLANS[PlateKind.BOYER_MIXED]
+        f_plan, (monomials, halves) = plans[route]
+        k = 1.0 + 1e-5
+        scaled = tuple((a, ws * k, abs_ws * k) for a, ws, abs_ws in halves)
+        monkeypatch.setitem(plans, route, (f_plan, (monomials, scaled)))
 
     @pytest.mark.parametrize("xi, rep", [(0.1, "dfdxi"), (0.5, "poisson")])
     def test_fires_on_a_tampered_series(self, monkeypatch, xi, rep):
-        assert pressure_auto(1.0, xi).rep == rep
-        self._tamper(monkeypatch)
-        with pytest.raises(InternalConsistencyError, match=f"xi={xi}"):
-            pressure_auto(1.0, xi)
+        # on the default grid 0.1 is the one point of the coth route and
+        # 0.5 one of the Poisson route's
+        untampered = pressure_auto(1.0, xi)
+        assert untampered.rep == rep
+        self._tamper(monkeypatch, "coth" if rep == "dfdxi" else rep)
+        assert pressure_auto(1.0, xi).value != untampered.value
+        failed = {c.name for c in run_all("default") if not c.passed}
+        assert self.ROWS <= failed
 
     @pytest.mark.parametrize("xi", GRIDS["default"])
     def test_passes_untampered(self, xi):
         r = pressure_auto(1.0, xi)
         assert math.isfinite(r.value) and r.value > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(math.log(1e-3), math.log(10.0)).map(math.exp))
+    def test_thermodynamic_identity(self, xi):
+        # both routes of the kernel, the Poisson one down to its floor
+        routes = ("coth", "poisson") if xi >= 0.05 else ("coth",)
+        assert max(_thermodynamic_residual(xi, route) for route in routes) <= 1e-6
+
+    @pytest.mark.parametrize("op, xi, calls", [
+        ("pressure", 0.1, 2), ("pressure", 0.5, 2), ("pressure", 0.0, 0), ("pressure", 1e-4, 0),
+        ("boyer", 0.1, 2), ("boyer", 0.5, 2), ("boyer", 0.0, 0), ("boyer", 1e-4, 0),
+        ("conductor", 0.1, 1), ("conductor", 0.5, 1), ("conductor", 0.0, 0), ("conductor", 1e-4, 0),
+    ])
+    def test_routed_op_sums_only_its_halves(self, monkeypatch, op, xi, calls):
+        # one kernel sum per half of the plate pair and no other: no
+        # self-check runs on the hot path
+        real = free_energy_module._conductor_series
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+
+        monkeypatch.setattr(free_energy_module, "_conductor_series", counting)
+        if op == "pressure":
+            pressure_auto(1.0, xi)
+        else:
+            free_energy_auto(PlateSystem(1.0, op), xi)
+        assert count == calls

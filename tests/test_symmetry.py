@@ -172,6 +172,17 @@ class TestLatticeIdentities:
         assert lhs_p == pytest.approx(plain, rel=1e-11)
         assert rhs_p == pytest.approx(plain, rel=1e-11)
 
+    @pytest.mark.parametrize("b", [0.05, 0.3, 1.0, 5.0, 20.0])
+    def test_plain_direct_side_to_rounding(self, b):
+        # the Euler-Maclaurin closure of the tail leaves only rounding,
+        # against the closed form at 40 digits
+        lhs, _ = identity_plain(b, TIGHT)
+        with mpmath.workdps(40):
+            u = mpmath.pi * b
+            ref = (mpmath.pi * mpmath.coth(u) / (2 * mpmath.mpf(b) ** 3)
+                   + mpmath.pi**2 / (2 * mpmath.mpf(b) ** 2 * mpmath.sinh(u) ** 2))
+        assert abs(lhs - float(ref)) <= 2e-15 * float(ref)
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.1, max_value=30.0))
     def test_identities_hypothesis(self, b):
