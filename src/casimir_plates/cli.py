@@ -22,7 +22,6 @@ from .free_energy import (
 )
 from .pressure import pressure_auto, pressure_zero_T
 from .specfun import EvalResult, SeriesControl
-from .verification import GRIDS, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -42,6 +41,9 @@ _REPS = (
     "low",
     "high",
 )
+# the keys of verification.GRIDS: the battery and its grids load only with
+# the verify command, not to build its parser
+_GRIDS = ("default", "coarse")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +82,7 @@ def _build_parser() -> _Parser:
     common(s)
 
     v = sub.add_parser("verify", help="run the invariant suite")
-    v.add_argument("--grid", choices=tuple(GRIDS), default="default")
+    v.add_argument("--grid", choices=_GRIDS, default="default")
     v.add_argument("--tamper", choices=("bessel-sign",), default=None)
 
     f = sub.add_parser("figure", help="emit figure data as CSV")
@@ -161,9 +163,9 @@ def _write_csv(path: str, header: str, rows) -> int:
 
 def _cmd_sweep(args) -> int:
     xs = _grid(args.xi_min, args.xi_max, args.points, args.spacing, args.usage_error)
-    ctl = _ctl(args)
     rows = []
     try:
+        ctl = _ctl(args)
         for xi in xs:
             r = _point_quantity(args.quantity, args.system, args.rep, xi, args.d, ctl)
             rows.append((f"{xi:.16e}", f"{r.value:.16e}", f"{r.abs_err_est:.16e}", r.rep))
@@ -174,6 +176,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_all
+
     checks = run_all(grid=args.grid, tamper=args.tamper)
     width = max(len(c.name) for c in checks)
     ok = True

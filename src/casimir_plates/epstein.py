@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import EvalResult, SeriesControl, riemann_zeta
+from .errors import ConvergenceError, DomainError, PoleError, SlowConvergenceError
+from .specfun import _DEFAULT_CTL, EvalResult, SeriesControl, _record, riemann_zeta
 
 __all__ = [
     "EpsteinParams",
@@ -33,21 +32,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpsteinParams:
+class EpsteinParams(_record("EpsteinParams", "z a m2")):
     """Exponent, quadratic-form coefficients and inhomogeneity M^2."""
 
-    z: float
-    a: tuple[float, ...]
-    m2: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) < 1:
+    def __new__(cls, z: float, a: tuple[float, ...], m2: float = 0.0):
+        if len(a) < 1:
             raise DomainError("need at least one lattice coefficient")
-        if any(c <= 0.0 for c in self.a):
+        if any(c <= 0.0 for c in a):
             raise DomainError("lattice coefficients must be positive")
-        if self.m2 < 0.0:
+        if m2 < 0.0:
             raise DomainError("M^2 must be nonnegative")
+        return tuple.__new__(cls, (z, a, m2))
 
 
 def _tail_integral_1d(z: float, a: float, c: float, x0: float) -> float:
@@ -168,7 +165,7 @@ class _LatticeSum:
 
 def epstein_direct(p: EpsteinParams, ctl: SeriesControl | None = None) -> EvalResult:
     """Defining lattice sum of E_N in its convergence region z > N/2."""
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     n_dim = len(p.a)
     if p.z <= 0.5 * n_dim:
         raise DomainError(
@@ -203,9 +200,10 @@ def epstein2_continued(
     """Meromorphic continuation of E_2(z; a1, a2) for M^2 = 0.
 
     The Bessel double sum decays like exp(-2 pi sqrt(a1/a2) n m) and is
-    truncated adaptively; Gamma ratios are computed in log space.
+    truncated adaptively, on the size of each term in the value (the term
+    times the sum's prefactor); Gamma ratios are computed in log space.
     """
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     if a1 <= 0.0 or a2 <= 0.0:
         raise DomainError("epstein2_continued requires positive a1, a2")
     if z == 1.0:
@@ -255,6 +253,16 @@ def epstein2_continued(
             f"the continuation's Bessel-sum prefactor at z={z!r}, a2={a2!r} is not finite"
         )
     w = 2.0 * math.pi * math.sqrt(a1 / a2)
+    if 0.0 < w * ctl.max_terms < 1.0:
+        # row n decays like exp(-w n m) only from m ~ 1/(w n) on, so the first
+        # row cannot converge within the budget; its terms may each be far
+        # below the value and still add up to more than it.  (w = 0, where
+        # a1/a2 underflows, makes every term infinite: a DomainError below.)
+        raise SlowConvergenceError(
+            f"epstein2_continued: the Bessel sum decays like exp(-{w!r} n m), too slowly "
+            f"for {ctl.max_terms} terms; E_2 is symmetric in a1 and a2, so pass the "
+            "larger coefficient first"
+        )
     sqrt_a1 = math.sqrt(a1)
 
     parts = []
@@ -275,9 +283,11 @@ def epstein2_continued(
             if terms > ctl.max_terms:
                 raise ConvergenceError("epstein2_continued Bessel sum exhausted")
             parts.append(t)
+            # a term enters the value as pref t, and partial is in value units
+            size = abs(pref * t)
             if row_top is None:
-                row_top = abs(t)
-            if abs(t) <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
+                row_top = size
+            if size <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
                 break
             running += t
             partial = abs(head) + abs(pref) * abs(running)

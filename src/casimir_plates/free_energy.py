@@ -15,8 +15,8 @@ The other representations are independent evaluations, cross-checked
 against the kernel by the tests and by ``casimir verify``.  Like the kernel,
 each forms the dimensionless d^3 F and scales it by d^-3 once.  Only the
 validation forms use scipy (the lattice sums through ``epstein``, the
-mode-integral quadrature), and they import it on first use: the routed
-paths, ``double`` and the closed forms need ``math`` alone.
+mode-integral quadrature), and they import it, and ``epstein``, on first
+use: the routed paths, ``double`` and the closed forms need ``math`` alone.
 """
 from __future__ import annotations
 
@@ -24,9 +24,7 @@ import enum
 import math
 import sys as _sys
 import warnings
-from dataclasses import dataclass
 
-from . import epstein
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -34,9 +32,11 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .specfun import (
+    _DEFAULT_CTL,
     ZETA3,
     EvalResult,
     SeriesControl,
+    _record,
 )
 
 __all__ = [
@@ -74,32 +74,31 @@ def _require_separation(d: float):
         raise DomainError(f"plate separation d must be finite and positive, got {d!r}")
 
 
-@dataclass(frozen=True)
-class PlateSystem:
+class PlateSystem(_record("PlateSystem", "d kind")):
     """Plate separation and boundary-condition kind."""
 
-    d: float
-    kind: PlateKind = PlateKind.BOYER_MIXED
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_separation(self.d)
-        if not isinstance(self.kind, PlateKind):
-            object.__setattr__(self, "kind", PlateKind(self.kind))
+    def __new__(cls, d: float, kind: PlateKind | str = PlateKind.BOYER_MIXED):
+        _require_separation(d)
+        if not isinstance(kind, PlateKind):
+            kind = PlateKind(kind)
+        return tuple.__new__(cls, (d, kind))
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
+class ThermalPoint(_record("ThermalPoint", "xi")):
     """The scaled temperature xi = d/(pi beta), the one thermal variable.
 
     The inverse temperature is not stored: at plate separation d it is
     ``beta(d) = d/(pi xi)``.
     """
 
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.xi > 0.0 and math.isfinite(self.xi)):
-            raise DomainError(f"xi must be finite and positive, got {self.xi!r}")
+    def __new__(cls, xi: float):
+        if not (xi > 0.0 and math.isfinite(xi)):
+            raise DomainError(f"xi must be finite and positive, got {xi!r}")
+        return tuple.__new__(cls, (xi,))
 
     def beta(self, d: float) -> float:
         """Inverse temperature at plate separation d."""
@@ -205,7 +204,6 @@ _PLANS = {
            for route in ("zero-T", "coth", "poisson")}
     for kind, halves in _HALVES.items()
 }
-_DEFAULT_CTL = SeriesControl()
 
 
 def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
@@ -359,7 +357,7 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
             f"the double sum's decay ratio exp(-1/(2 xi)) rounds to 1 at xi={xi!r}, "
             "outside the floating-point range of its terms; use the Poisson representation"
         )
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     parts = []
     nterms = 0
     total = 0.0
@@ -434,7 +432,9 @@ def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """
     if not xi > 0.0:
         raise DomainError("f_nontrivial requires xi > 0")
-    ctl = ctl or SeriesControl()
+    from . import epstein
+
+    ctl = ctl or _DEFAULT_CTL
     w = 2.0 * math.pi * xi
     value = err = math.inf
     try:
@@ -540,7 +540,7 @@ def free_energy_mode_integral(
     is a SlowConvergenceError.
     """
     _require_boyer(sys, "mode-integral")
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     xi = t.xi
     parts = []
     qerr = 0.0
@@ -630,7 +630,7 @@ def evaluate_free_energy(
     """
     if rep == "auto":
         return free_energy_auto(sys, t.xi, ctl)
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     rep = RepresentationKind(rep)
     if rep is RepresentationKind.ASYMPTOTIC_LOW:
         return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")

@@ -30,7 +30,7 @@ from .free_energy import (
     _require_separation,
     _route,
 )
-from .specfun import EvalResult, SeriesControl, sum_until
+from .specfun import _DEFAULT_CTL, EvalResult, SeriesControl, sum_until
 
 __all__ = [
     "pressure_zero_T",
@@ -115,7 +115,7 @@ def pressure_thermal_log(
     pi^2 xi and the d^-4 scaling.
     """
     _require_separation(d)
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     xi = t.xi
     r = math.exp(-0.5 / xi)
     g = 1.0 / -math.expm1(-0.5 / xi)  # 1/(1 - r)

@@ -6,7 +6,7 @@ all of it is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -22,8 +22,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+def _record(name: str, fields: str):
+    """A namedtuple base for a record type whose subclass validates in
+    ``__new__``; its ``_make``, and so ``_replace``, goes through that too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class SeriesControl(_record("SeriesControl", "rel_tol max_terms min_terms")):
     """Truncation policy shared by every adaptive series evaluator.
 
     A series evaluator stops only once its bounded tail estimate drops
@@ -33,32 +40,37 @@ class SeriesControl:
     whose tail estimate is heuristic.  The conductor kernel, whose tail
     bound is proven from the first term, may stop before it, once that
     bound is below min(rel_tol, eps/2) of the partial sum: where its tail
-    cannot move the double result.
+    cannot move the double result.  Both term counts are integers.
     """
 
-    rel_tol: float = 1e-12
-    max_terms: int = 10**6
-    min_terms: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6, min_terms: int = 8):
+        if not rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
-        if self.min_terms < 1 or self.min_terms > self.max_terms:
+        if not (isinstance(min_terms, int) and isinstance(max_terms, int)):
+            raise DomainError(
+                f"min_terms and max_terms must be integers, got {min_terms!r} and {max_terms!r}"
+            )
+        if min_terms < 1 or min_terms > max_terms:
             raise DomainError("need 1 <= min_terms <= max_terms")
+        return tuple.__new__(cls, (rel_tol, max_terms, min_terms))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
     """Value of a truncated series together with its error bookkeeping."""
 
-    value: float
-    abs_err_est: float
-    terms_used: int
-    rep: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.abs_err_est < 0.0:
+    def __new__(cls, value: float, abs_err_est: float, terms_used: int, rep: str):
+        if not abs_err_est >= 0.0:  # also rejects nan
             raise DomainError("abs_err_est must be nonnegative")
+        return tuple.__new__(cls, (value, abs_err_est, terms_used, rep))
+
+
+# the truncation policy of every evaluator called without one; records are
+# immutable, so all of them share this one
+_DEFAULT_CTL = SeriesControl()
 
 
 # Bernoulli numbers B_2, B_4, ... B_10 for the Euler-Maclaurin tail.

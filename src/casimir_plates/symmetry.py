@@ -16,7 +16,7 @@ mapping).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .epstein import _odd_x_derivatives
 from .errors import ConvergenceError, DomainError
@@ -32,7 +32,14 @@ from .free_energy import (
     free_energy_low_T,
     zero_temperature_energy,
 )
-from .specfun import EvalResult, SeriesControl, coth_stable, inv_sinh_stable, sum_until
+from .specfun import (
+    _DEFAULT_CTL,
+    EvalResult,
+    SeriesControl,
+    coth_stable,
+    inv_sinh_stable,
+    sum_until,
+)
 
 __all__ = [
     "SplitFreeEnergies",
@@ -62,14 +69,11 @@ XI_FIXED_NONTRIVIAL = 1.0 / (2.0 * math.pi)
 (_A1, _), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
 
 
-@dataclass(frozen=True)
-class SplitFreeEnergies:
+class SplitFreeEnergies(namedtuple("SplitFreeEnergies", "f1 f2 xi")):
     """Conducting-pair free energies F1 (separation 2d) and F2
     (separation d) sharing the scaled temperature xi of the Boyer pair."""
 
-    f1: float
-    f2: float
-    xi: float
+    __slots__ = ()
 
 
 def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None, what: str):
@@ -105,7 +109,7 @@ def _relative_residual(lhs: float, rhs: float) -> float:
 
 def tis_residual_f1(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
     """Residual of (4 pi xi)^4 F1(1/(16 pi^2 xi)) = F1(xi) at fixed d."""
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     image = 1.0 / (16.0 * math.pi**2 * xi)
     lhs = (4.0 * math.pi * xi) ** 4 * f1_eval(image, d, ctl).value
     rhs = f1_eval(xi, d, ctl).value
@@ -114,7 +118,7 @@ def tis_residual_f1(xi: float, d: float, ctl: SeriesControl | None = None) -> fl
 
 def tis_residual_f2(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
     """Residual of (2 pi xi)^4 F2(1/(4 pi^2 xi)) = F2(xi) at fixed d."""
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     image = 1.0 / (4.0 * math.pi**2 * xi)
     lhs = (2.0 * math.pi * xi) ** 4 * f2_eval(image, d, ctl).value
     rhs = f2_eval(xi, d, ctl).value
@@ -131,7 +135,7 @@ def tis_residual_nontrivial(xi: float, ctl: SeriesControl | None = None) -> floa
     point 1/(2 pi).  A version of the map lacking one factor of pi
     circulates in print; it fails numerically at order one.
     """
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     image = 1.0 / (4.0 * math.pi**2 * xi)
     lhs = (2.0 * math.pi * xi) ** 4 * f_nontrivial(image, ctl).value
     rhs = f_nontrivial(xi, ctl).value
@@ -146,7 +150,7 @@ def tis_residual_boyer_naive(xi: float, d: float, ctl: SeriesControl | None = No
     boundary conditions are not symmetric under temperature inversion.
     Only the conducting halves F1 and F2 transform covariantly.
     """
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     sys = PlateSystem(d)
 
     def f_boyer(x):
@@ -166,7 +170,7 @@ def identity_alternating(b: float, ctl: SeriesControl | None = None):
     """
     if not b > 0.0:
         raise DomainError("identity_alternating requires b > 0")
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     b2 = b * b
 
     def term(m):
@@ -200,7 +204,7 @@ def identity_plain(b: float, ctl: SeriesControl | None = None):
     """
     if not b > 0.0:
         raise DomainError("identity_plain requires b > 0")
-    ctl = ctl or SeriesControl()
+    ctl = ctl or _DEFAULT_CTL
     b2 = b * b
     n0 = max(ctl.min_terms, 12)
     while True:

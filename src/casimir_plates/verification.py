@@ -9,7 +9,7 @@ as a pass/fail table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from . import free_energy as fe
@@ -54,12 +54,10 @@ from .symmetry import (
 __all__ = ["Check", "run_all", "GRIDS"]
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
+class Check(namedtuple("Check", "name residual tolerance passed")):
+    """One row of the battery: a residual measured against its tolerance."""
+
+    __slots__ = ()
 
 
 GRIDS = {

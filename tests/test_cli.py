@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import cli
-from casimir_plates.verification import run_all
+from casimir_plates.verification import GRIDS, run_all
 
 
 def run_main(argv):
@@ -145,6 +145,15 @@ class TestUsageErrors:
              "--spacing", "log", "--out", out]
         ) == 2
         assert "--spacing log" in usage_reason(capsys)
+
+    def test_unknown_grid(self, capsys):
+        assert run_main(["verify", "--grid", "fine"]) == 2
+        assert usage_reason(capsys) == (
+            "argument --grid: invalid choice: 'fine' (choose from 'default', 'coarse')")
+
+    def test_grid_choices_are_the_battery_grids(self):
+        # the parser names the grids without loading the battery
+        assert cli._GRIDS == tuple(GRIDS)
 
 
 class TestEvalErrors:
@@ -328,6 +337,16 @@ class TestSweep:
         ratios = [b / a for a, b in zip(xs, xs[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-12) for r in ratios)
 
+    @pytest.mark.parametrize("budget", [["--max-terms", "3"], ["--tol", "0"], ["--tol", "nan"]])
+    def test_sweep_bad_series_control_is_exit_3(self, tmp_path, capsys, budget):
+        out = str(tmp_path / "x.csv")
+        assert run_main(
+            ["sweep", "--quantity", "pressure", "--xi-min", "0.1", "--xi-max", "1",
+             "--points", "3", "--out", out, *budget]
+        ) == 3
+        assert capsys.readouterr().err.startswith("evaluation error (auto): ")
+        assert not os.path.exists(out)
+
     def test_sweep_unwritable_path(self, tmp_path):
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert run_main(
@@ -447,13 +466,17 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     codes["sweep"] = cli.main(argv)
     for fid in ("1", "2", "3"):
         codes["figure " + fid] = cli.main(["figure", fid, "--points", "50", "--out", out])
+    loaded = sorted(m for m in ("casimir_plates.verification", "casimir_plates.symmetry",
+                                "casimir_plates.epstein", "dataclasses") if m in sys.modules)
     from casimir_plates.symmetry import f1_eval, f2_eval
     f1_eval(0.5, 1.0)
     f2_eval(0.5, 1.0)
     before = sorted(m for m in ("scipy", "numpy") if m in sys.modules)
     lattice = cli.main(["eval", "--quantity", "free_energy", "--rep", "lattice", "--xi", "0.5"])
-print(json.dumps({"codes": codes, "before": before, "lattice": lattice,
-                  "after": "scipy" in sys.modules}))
+    after = "scipy" in sys.modules
+    verify = cli.main(["verify", "--grid", "coarse"])
+print(json.dumps({"codes": codes, "loaded": loaded, "before": before, "lattice": lattice,
+                  "after": after, "verify": verify}))
 """
 
 
@@ -477,7 +500,11 @@ class TestLazyImport:
                 words[6] == "auto" or words[2] in ("free_energy", "f_scaled"))
 
         assert all(code == 0 for c, code in codes.items() if must_succeed(c))
+        # nor the verify battery, the Epstein engine or dataclasses
+        assert got["loaded"] == []
         assert got["before"] == []
         # the validation forms still load scipy on first use
         assert got["lattice"] == 0
         assert got["after"]
+        # and verify loads its battery on first use
+        assert got["verify"] == 0

@@ -7,6 +7,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casimir_plates import epstein
 from casimir_plates.epstein import (
@@ -15,7 +17,7 @@ from casimir_plates.epstein import (
     epstein2_continued,
     epstein_direct,
 )
-from casimir_plates.errors import DomainError, PoleError
+from casimir_plates.errors import CasimirError, DomainError, PoleError, SlowConvergenceError
 from casimir_plates.specfun import SeriesControl
 
 CTL = SeriesControl(rel_tol=1e-13)
@@ -140,6 +142,25 @@ class TestContinuation:
         d_scaled = epstein_direct(EpsteinParams(z, (lam, 3.0 * lam)), CTL).value
         assert d_scaled == pytest.approx(lam**-z * d_base, rel=1e-10)
 
+    @given(
+        z=st.sampled_from([0.3, 0.8, 1.6, 2.0, 2.5, 3.0]),
+        a1=st.floats(0.25, 4.0),
+        a2=st.floats(0.25, 4.0),
+        log_s=st.floats(math.log(1e-6), math.log(1e6)),
+    )
+    @example(z=2.0, a1=1.0, a2=1.0, log_s=math.log(1e-4))
+    @example(z=2.0, a1=1.0, a2=1.0, log_s=math.log(1e-6))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneity_within_the_bars(self, z, a1, a2, log_s):
+        # E(z; s a1, s a2) = s^-z E(z; a1, a2): the Bessel sum's prefactor
+        # scales like s^-(z/2 + 1/4), so a stop rule on the bare terms
+        # stops early (s << 1) or late (s >> 1); no slack on the bars
+        s = math.exp(log_s)
+        base = epstein2_continued(z, a1, a2, CTL)
+        scaled = epstein2_continued(z, s * a1, s * a2, CTL)
+        q = s**-z
+        assert abs(scaled.value - q * base.value) <= scaled.abs_err_est + q * base.abs_err_est
+
     def test_below_convergence_region(self):
         # z = 0.8 < N/2: only the continuation can reach it; pin against a
         # high-precision mpmath evaluation of the same continuation formula
@@ -183,6 +204,34 @@ class TestContinuation:
                            capture_output=True, text=True, env=env, timeout=30)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split()[0] in ("finite", "CasimirError")
+
+    def test_vanishing_prefactor_ends_at_once(self):
+        # sqrt(a1/a2) = 1e-150 and a Bessel-sum prefactor of ~1e-120: each
+        # term is far below the value, but ~1e149 of them add up to about
+        # 1e60, the value itself.  It must end, either way, within a second
+        epstein2_continued(2.0, 1.0, 4.0)  # scipy loaded before the clock starts
+        t0 = time.perf_counter()
+        try:
+            r = epstein2_continued(0.3, 1.0, 1e300)
+        except CasimirError:
+            pass
+        else:
+            assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_too_slow_bessel_sum_names_the_exchange(self):
+        with pytest.raises(SlowConvergenceError, match="larger coefficient first"):
+            epstein2_continued(0.3, 1.0, 1e300)
+        # exchanged, every Bessel term is exp(-2 pi 1e150) = 0, and the value
+        # is the closed-form head, about 4e59 (not the head of the unexchanged
+        # form, about 1)
+        r = epstein2_continued(0.3, 1e300, 1.0)
+        with mpmath.workdps(30):
+            z, a = mpmath.mpf(0.3), mpmath.mpf(1e300)
+            head = -(a**-z) / 2 * mpmath.zeta(2 * z) + mpmath.sqrt(mpmath.pi) / 2 * (
+                mpmath.gamma(z - 0.5) / mpmath.gamma(z) * a ** (0.5 - z) * mpmath.zeta(2 * z - 1))
+            assert abs(r.value - head) <= r.abs_err_est
+        assert r.value == pytest.approx(float(head), rel=1e-12)
 
     @pytest.mark.parametrize(
         "z,a1,a2", [(0.3, 1e-300, 1e300), (3.0, 1.0, 1e-300)],
