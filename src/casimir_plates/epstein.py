@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .errors import ConvergenceError, DomainError, PoleError, SlowConvergenceError
+from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import _DEFAULT_CTL, EvalResult, SeriesControl, _record, riemann_zeta
 
 __all__ = [
@@ -194,14 +194,21 @@ def _gamma_ratio(num: float, den: float) -> float:
     return sign * math.exp(special.gammaln(num) - special.gammaln(den))
 
 
+def _geometric_tail(x: float) -> float:
+    """exp(-x) / (1 - exp(-x)): the tail after a term of a series that falls
+    by exp(-x) per term, in units of that term; 0 where exp(-x) underflows."""
+    return math.exp(-x) / -math.expm1(-x)
+
+
 def epstein2_continued(
     z: float, a1: float, a2: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """Meromorphic continuation of E_2(z; a1, a2) for M^2 = 0.
 
     The Bessel double sum decays like exp(-2 pi sqrt(a1/a2) n m) and is
-    truncated adaptively, on the size of each term in the value (the term
-    times the sum's prefactor); Gamma ratios are computed in log space.
+    truncated adaptively on geometric tail estimates: each row to a tenth
+    of rel_tol of the row, the rows to a tenth of rel_tol of the value.
+    Gamma ratios are computed in log space.
     """
     ctl = ctl or _DEFAULT_CTL
     if a1 <= 0.0 or a2 <= 0.0:
@@ -221,6 +228,17 @@ def epstein2_continued(
         raise PoleError(
             "continuation not evaluated at negative half-integer z", location=z
         )
+    w = 2.0 * math.pi * math.sqrt(a1 / a2)
+    if w == 0.0:
+        raise DomainError(
+            f"the continuation's Bessel terms at a1={a1!r}, a2={a2!r} are not finite "
+            "(a1/a2 underflows)"
+        )
+    if w * ctl.max_terms < 1.0:
+        # row n decays like exp(-w n m) only from m ~ 1/(w n) on, so the first
+        # row cannot converge within the budget; E_2 is symmetric in a1 and
+        # a2, and exchanged, the sum decays at least like exp(-2 pi n m)
+        return epstein2_continued(z, a2, a1, ctl)
 
     from scipy import special
 
@@ -252,27 +270,23 @@ def epstein2_continued(
         raise DomainError(
             f"the continuation's Bessel-sum prefactor at z={z!r}, a2={a2!r} is not finite"
         )
-    w = 2.0 * math.pi * math.sqrt(a1 / a2)
-    if 0.0 < w * ctl.max_terms < 1.0:
-        # row n decays like exp(-w n m) only from m ~ 1/(w n) on, so the first
-        # row cannot converge within the budget; its terms may each be far
-        # below the value and still add up to more than it.  (w = 0, where
-        # a1/a2 underflows, makes every term infinite: a DomainError below.)
-        raise SlowConvergenceError(
-            f"epstein2_continued: the Bessel sum decays like exp(-{w!r} n m), too slowly "
-            f"for {ctl.max_terms} terms; E_2 is symmetric in a1 and a2, so pass the "
-            "larger coefficient first"
-        )
     sqrt_a1 = math.sqrt(a1)
+    # past its first terms, row n falls by exp(-w n) per term and the rows by
+    # about exp(-w) per row: the tail after a term of row n is about the term
+    # times _geometric_tail(w n), and the rows after row n about its sum times
+    # _geometric_tail(w).  Every term has the prefactor's sign, so summing
+    # each row to 0.1 rel_tol of itself keeps the rows' truncations together
+    # within 0.1 rel_tol of the sum, however many rows there are
+    rows_after = abs(pref) * _geometric_tail(w)
 
     parts = []
     running = 0.0  # the terms' plain sum, for the stop rule; the value uses fsum
     terms = 0
-    partial = abs(head)
     n = 0
     while True:
         n += 1
-        row_top = None
+        after = _geometric_tail(w * n)
+        row = 0.0
         for m in range(1, ctl.max_terms + 1):
             t = (
                 m**nu
@@ -283,15 +297,14 @@ def epstein2_continued(
             if terms > ctl.max_terms:
                 raise ConvergenceError("epstein2_continued Bessel sum exhausted")
             parts.append(t)
-            # a term enters the value as pref t, and partial is in value units
-            size = abs(pref * t)
-            if row_top is None:
-                row_top = size
-            if size <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
+            row += t
+            if t * after <= 0.1 * ctl.rel_tol * row:
                 break
-            running += t
-            partial = abs(head) + abs(pref) * abs(running)
-        if n >= ctl.min_terms and row_top <= 0.1 * ctl.rel_tol * max(partial, 1e-300):
+        running += row
+        # a row enters the value as pref row: compare it in value units
+        if n >= ctl.min_terms and rows_after * row <= 0.1 * ctl.rel_tol * max(
+            abs(head) + abs(pref) * running, 1e-300
+        ):
             break
     bessel = pref * math.fsum(parts)
     value = head + bessel

@@ -6,6 +6,7 @@ all of it is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -48,10 +49,15 @@ class SeriesControl(_record("SeriesControl", "rel_tol max_terms min_terms")):
     def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6, min_terms: int = 8):
         if not rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
-        if not (isinstance(min_terms, int) and isinstance(max_terms, int)):
+        try:
+            if isinstance(min_terms, bool) or isinstance(max_terms, bool):
+                raise TypeError
+            # any integral type (a numpy integer too) as a plain int
+            max_terms, min_terms = operator.index(max_terms), operator.index(min_terms)
+        except TypeError:
             raise DomainError(
                 f"min_terms and max_terms must be integers, got {min_terms!r} and {max_terms!r}"
-            )
+            ) from None
         if min_terms < 1 or min_terms > max_terms:
             raise DomainError("need 1 <= min_terms <= max_terms")
         return tuple.__new__(cls, (rel_tol, max_terms, min_terms))

@@ -17,7 +17,7 @@ from casimir_plates.epstein import (
     epstein2_continued,
     epstein_direct,
 )
-from casimir_plates.errors import CasimirError, DomainError, PoleError, SlowConvergenceError
+from casimir_plates.errors import CasimirError, DomainError, PoleError
 from casimir_plates.specfun import SeriesControl
 
 CTL = SeriesControl(rel_tol=1e-13)
@@ -161,6 +161,23 @@ class TestContinuation:
         q = s**-z
         assert abs(scaled.value - q * base.value) <= scaled.abs_err_est + q * base.abs_err_est
 
+    @given(
+        z=st.sampled_from([-3.3, -1.3, -0.7, 0.3, 0.8, 1.6, 2.5, 5.5]),
+        log_ratio=st.floats(0.0, math.log(1e6)),
+    )
+    @example(z=0.3, log_ratio=math.log(1e8))
+    @example(z=1.6, log_ratio=math.log(1e8))
+    @settings(max_examples=30, deadline=None)
+    def test_exchange_within_the_bars(self, z, log_ratio):
+        # E(z; 1, r) = E(z; r, 1), summed with the Bessel sum decaying like
+        # exp(-2 pi n m / sqrt(r)) and like exp(-2 pi sqrt(r) n m).  The slow
+        # order has ~1/sqrt(r) rows whose truncations add up, and each row's
+        # tail is ~sqrt(r)/n times its last term; no slack on the bars
+        r = math.exp(log_ratio)
+        slow = epstein2_continued(z, 1.0, r)
+        fast = epstein2_continued(z, r, 1.0)
+        assert abs(slow.value - fast.value) <= slow.abs_err_est + fast.abs_err_est
+
     def test_below_convergence_region(self):
         # z = 0.8 < N/2: only the continuation can reach it; pin against a
         # high-precision mpmath evaluation of the same continuation formula
@@ -219,13 +236,13 @@ class TestContinuation:
             assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
         assert time.perf_counter() - t0 < 1.0
 
-    def test_too_slow_bessel_sum_names_the_exchange(self):
-        with pytest.raises(SlowConvergenceError, match="larger coefficient first"):
-            epstein2_continued(0.3, 1.0, 1e300)
-        # exchanged, every Bessel term is exp(-2 pi 1e150) = 0, and the value
-        # is the closed-form head, about 4e59 (not the head of the unexchanged
-        # form, about 1)
-        r = epstein2_continued(0.3, 1e300, 1.0)
+    def test_too_slow_bessel_sum_is_summed_exchanged(self):
+        # sqrt(a1/a2) = 1e-150: the first row cannot converge within
+        # max_terms, so the sum runs with a1 and a2 exchanged; there every
+        # Bessel term is exp(-2 pi 1e150) = 0, and the value is the closed-form
+        # head, about 4e59 (not the head of the unexchanged form, about 1)
+        r = epstein2_continued(0.3, 1.0, 1e300)
+        assert r == epstein2_continued(0.3, 1e300, 1.0)
         with mpmath.workdps(30):
             z, a = mpmath.mpf(0.3), mpmath.mpf(1e300)
             head = -(a**-z) / 2 * mpmath.zeta(2 * z) + mpmath.sqrt(mpmath.pi) / 2 * (

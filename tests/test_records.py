@@ -3,6 +3,7 @@ construction, with the equality, hash and repr of their fields."""
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from casimir_plates import free_energy, specfun
@@ -75,11 +76,17 @@ class TestSeriesControl:
 
     @pytest.mark.parametrize("kw", [
         {"min_terms": math.nan}, {"max_terms": math.inf}, {"max_terms": 100.0},
-        {"min_terms": "8"}, {"max_terms": None},
+        {"min_terms": "8"}, {"max_terms": None}, {"max_terms": True},
+        {"min_terms": True}, {"min_terms": np.float64(8.0)},
     ])
     def test_term_counts_must_be_integers(self, kw):
         with pytest.raises(DomainError, match="^min_terms and max_terms must be integers, got "):
             SeriesControl(**kw)
+
+    def test_numpy_integer_counts_become_ints(self):
+        ctl = SeriesControl(max_terms=np.int64(100), min_terms=np.int32(3))
+        assert ctl == SeriesControl(1e-12, 100, 3)
+        assert type(ctl.max_terms) is int and type(ctl.min_terms) is int
 
     @pytest.mark.parametrize("kw", [
         {"min_terms": 0}, {"min_terms": -3}, {"min_terms": 10, "max_terms": 5},
