@@ -7,7 +7,6 @@ from .errors import (
     CasimirError,
     ConvergenceError,
     DomainError,
-    InternalConsistencyError,
     PoleError,
     SlowConvergenceError,
     UnsupportedRepresentationError,
@@ -30,7 +29,6 @@ __all__ = [
     "CasimirError",
     "ConvergenceError",
     "DomainError",
-    "InternalConsistencyError",
     "PoleError",
     "SlowConvergenceError",
     "UnsupportedRepresentationError",

@@ -14,6 +14,7 @@ from .errors import CasimirError
 from .free_energy import (
     PlateKind,
     PlateSystem,
+    RepresentationKind,
     ThermalPoint,
     _route,
     evaluate_free_energy,
@@ -30,17 +31,7 @@ EXIT_EVAL = 3
 EXIT_IO = 4
 
 _QUANTITIES = ("free_energy", "pressure", "f_scaled", "p_scaled")
-_REPS = (
-    "auto",
-    "bessel",
-    "coth",
-    "double",
-    "poisson",
-    "lattice",
-    "mode-integral",
-    "low",
-    "high",
-)
+_REPS = ("auto", *(r.value for r in RepresentationKind))
 # the keys of verification.GRIDS: the battery and its grids load only with
 # the verify command, not to build its parser
 _GRIDS = ("default", "coarse")

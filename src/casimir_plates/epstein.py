@@ -10,7 +10,8 @@ what makes sub-1e-10 absolute accuracy reachable for exponents barely
 inside the convergence region.
 
 ``epstein2_continued`` is the meromorphic continuation for N = 2, M^2 = 0,
-whose Bessel double sum converges everywhere exponentially.
+whose Bessel double sum, taken with the larger coefficient first, converges
+everywhere at least like exp(-2 pi n m).
 
 scipy (``betainc``, ``quad``, ``kv``, ``gammaln``) is imported on first use,
 inside the functions that call it, so importing this module is cheap; the
@@ -44,6 +45,8 @@ class EpsteinParams(_record("EpsteinParams", "z a m2")):
             raise DomainError("lattice coefficients must be positive")
         if m2 < 0.0:
             raise DomainError("M^2 must be nonnegative")
+        if not all(map(math.isfinite, (z, *a, m2))):
+            raise DomainError("z, the lattice coefficients and M^2 must be finite")
         return tuple.__new__(cls, (z, a, m2))
 
 
@@ -61,22 +64,6 @@ def _tail_integral_1d(z: float, a: float, c: float, x0: float) -> float:
         * special.beta(z - 0.5, 0.5)
         * special.betainc(z - 0.5, 0.5, u0)
     )
-
-
-def _odd_x_derivatives(h, up: float, us: float):
-    """g', g''', g^(5), g^(7) of g(x) = G(u(x)) for u quadratic in x, from
-    h[j] = G^(j)(u), j = 0..7, and u', u'' at the point (the chain rule
-    with u''' = 0)."""
-    g1 = h[1] * up
-    g3 = h[3] * up**3 + 3.0 * h[2] * up * us
-    g5 = h[5] * up**5 + 10.0 * h[4] * up**3 * us + 15.0 * h[3] * up * us**2
-    g7 = (
-        h[7] * up**7
-        + 21.0 * h[6] * up**5 * us
-        + 105.0 * h[5] * up**3 * us**2
-        + 105.0 * h[4] * up * us**3
-    )
-    return g1, g3, g5, g7
 
 
 class _LatticeSum:
@@ -112,7 +99,18 @@ class _LatticeSum:
         for j in range(1, 8):
             sgn_poch *= -(z + j - 1.0)
             h[j] = sgn_poch * self.value(z + j, rest, u)
-        return (h[0], *_odd_x_derivatives(h, 2.0 * an * x0, 2.0 * an))
+        # chain rule with u' = 2 a x0, u'' = 2 a and u''' = 0
+        up, us = 2.0 * an * x0, 2.0 * an
+        g1 = h[1] * up
+        g3 = h[3] * up**3 + 3.0 * h[2] * up * us
+        g5 = h[5] * up**5 + 10.0 * h[4] * up**3 * us + 15.0 * h[3] * up * us**2
+        g7 = (
+            h[7] * up**7
+            + 21.0 * h[6] * up**5 * us
+            + 105.0 * h[5] * up**3 * us**2
+            + 105.0 * h[4] * up * us**3
+        )
+        return h[0], g1, g3, g5, g7
 
     def _axis(self, z: float, a: tuple, c: float) -> float:
         an = a[-1]
@@ -172,18 +170,30 @@ def epstein_direct(p: EpsteinParams, ctl: SeriesControl | None = None) -> EvalRe
             f"epstein_direct requires z > N/2 = {0.5 * n_dim}; got z = {p.z}"
         )
     eng = _LatticeSum(ctl)
-    value = float(eng.value(p.z, p.a, p.m2))  # a Python float, not a numpy scalar
+    try:
+        value = float(eng.value(p.z, p.a, p.m2))  # a Python float, not a numpy scalar
+    except OverflowError:
+        value = math.inf
     err = eng.quad_err + ctl.rel_tol * abs(value)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the lattice sum at {p!r} is outside the floating-point range")
     return EvalResult(value=value, abs_err_est=err, terms_used=eng.terms, rep="lattice")
 
 
 def epstein1_closed(z: float, a: float) -> float:
-    """E_1(z; a) = a^(-z) zeta(2z), valid on the whole continuation."""
-    if a <= 0.0:
+    """E_1(z; a) = a^(-z) zeta(2z), valid on the whole continuation; a value
+    past the float range is a DomainError."""
+    if not a > 0.0:
         raise DomainError("epstein1_closed requires a > 0")
     if z == 0.5:
         raise PoleError("E_1 has a pole at z = 1/2", location=0.5)
-    return a ** (-z) * riemann_zeta(2.0 * z)
+    try:
+        value = a ** (-z) * riemann_zeta(2.0 * z)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"E_1 at z={z!r}, a={a!r} is outside the floating-point range")
+    return value
 
 
 def _gamma_ratio(num: float, den: float) -> float:
@@ -205,14 +215,19 @@ def epstein2_continued(
 ) -> EvalResult:
     """Meromorphic continuation of E_2(z; a1, a2) for M^2 = 0.
 
-    The Bessel double sum decays like exp(-2 pi sqrt(a1/a2) n m) and is
+    E_2 is symmetric in a1 and a2, and the sum runs with the larger
+    coefficient as a1 (Chowla and Selberg), so that its Bessel double sum
+    decays like exp(-w n m) with w = 2 pi sqrt(a1/a2) >= 2 pi: a call with
+    a1 < a2 is the call with the two exchanged.  The double sum is
     truncated adaptively on geometric tail estimates: each row to a tenth
     of rel_tol of the row, the rows to a tenth of rel_tol of the value.
     Gamma ratios are computed in log space.
     """
     ctl = ctl or _DEFAULT_CTL
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise DomainError("epstein2_continued requires positive a1, a2")
+    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf and math.isfinite(z)):
+        raise DomainError("epstein2_continued requires finite z and finite positive a1, a2")
+    if a1 < a2:
+        a1, a2 = a2, a1
     if z == 1.0:
         raise PoleError("E_2 has a simple pole at z = 1", location=1.0)
     if z == 0.5:
@@ -229,16 +244,6 @@ def epstein2_continued(
             "continuation not evaluated at negative half-integer z", location=z
         )
     w = 2.0 * math.pi * math.sqrt(a1 / a2)
-    if w == 0.0:
-        raise DomainError(
-            f"the continuation's Bessel terms at a1={a1!r}, a2={a2!r} are not finite "
-            "(a1/a2 underflows)"
-        )
-    if w * ctl.max_terms < 1.0:
-        # row n decays like exp(-w n m) only from m ~ 1/(w n) on, so the first
-        # row cannot converge within the budget; E_2 is symmetric in a1 and
-        # a2, and exchanged, the sum decays at least like exp(-2 pi n m)
-        return epstein2_continued(z, a2, a1, ctl)
 
     from scipy import special
 
@@ -250,7 +255,7 @@ def epstein2_continued(
             * _gamma_ratio(z - 0.5, z)
             * epstein1_closed(z - 0.5, a1)
         )
-    except OverflowError:
+    except (OverflowError, DomainError):  # a zeta or E_1 past the float range
         head = math.inf
     if not math.isfinite(head):
         raise DomainError(
@@ -288,11 +293,15 @@ def epstein2_continued(
         after = _geometric_tail(w * n)
         row = 0.0
         for m in range(1, ctl.max_terms + 1):
-            t = (
-                m**nu
-                * (sqrt_a1 * n) ** (-nu)
-                * special.kv(nu, w * n * m)
-            )
+            try:  # in Python floats, which overflow to inf without a warning
+                t = m**nu * (sqrt_a1 * n) ** (-nu) * float(special.kv(nu, w * n * m))
+            except OverflowError:
+                t = math.inf
+            if not math.isfinite(t):  # a factor over- or underflows (large |z|)
+                raise DomainError(
+                    f"the continuation's Bessel terms at z={z!r}, a1={a1!r}, a2={a2!r} "
+                    "are not finite"
+                )
             terms += 1
             if terms > ctl.max_terms:
                 raise ConvergenceError("epstein2_continued Bessel sum exhausted")

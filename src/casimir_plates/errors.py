@@ -36,7 +36,3 @@ class SlowConvergenceError(ConvergenceError):
 
 class UnsupportedRepresentationError(CasimirError, ValueError):
     """The representation does not exist for the requested plate system."""
-
-
-class InternalConsistencyError(CasimirError, RuntimeError):
-    """An internal cross-check (analytic vs finite difference) failed."""

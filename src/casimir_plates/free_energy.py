@@ -473,8 +473,8 @@ def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResu
     Same quantity as :func:`f_conducting_lattice`, through the kernel's coth
     series, which converges exponentially at any xi.
     """
-    if not xi > 0.0:
-        raise DomainError("f_conducting_single requires xi > 0")
+    if not (xi > 0.0 and math.isfinite(xi)):
+        raise DomainError(f"f_conducting_single requires finite xi > 0, got {xi!r}")
     value, _, err, terms = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, xi, "coth", False, ctl)
     return EvalResult(value, err, terms, "coth")
 

@@ -88,23 +88,33 @@ def riemann_zeta(s: float) -> float:
 
     For s > 0 the defining sum is truncated and closed with the integral
     term N^(1-s)/(s-1) plus Euler-Maclaurin corrections; for s < 0 the
-    reflection formula maps the argument back to s > 1.
+    reflection formula maps the argument back to s > 1.  From s = 54 on,
+    zeta(s) - 1 < 2^(1-s) is below half an ulp of 1, so zeta(s) rounds to
+    1.0, also at s = inf.  Where Gamma(1 - s) of the reflection overflows
+    (s < -171.6), and at s = -inf or nan, it is a DomainError.
     """
     if s == 1.0:
         raise PoleError("riemann_zeta has a simple pole at s = 1", location=1.0)
+    if s >= 54.0:
+        return 1.0
+    if not math.isfinite(s):
+        raise DomainError(f"riemann_zeta is not defined at s={s!r}")
     if s < 0.0:
         # reflection: zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
         half = 0.5 * s
         if half == math.floor(half):
             return 0.0  # trivial zeros at negative even integers
         sin_term = math.sin(math.pi * half)
-        return (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * sin_term
-            * math.gamma(1.0 - s)
-            * riemann_zeta(1.0 - s)
-        )
+        try:
+            return (
+                2.0**s
+                * math.pi ** (s - 1.0)
+                * sin_term
+                * math.gamma(1.0 - s)
+                * riemann_zeta(1.0 - s)
+            )
+        except OverflowError:  # from s < -171.6 on
+            raise DomainError(f"riemann_zeta({s!r}): Gamma(1 - s) overflows") from None
     # Direct sum with Euler-Maclaurin closure; valid for all s > -1, s != 1,
     # so it also covers the strip 0 <= s < 1 by analytic continuation.
     n_direct = 40
@@ -132,40 +142,56 @@ def macdonald_half(n: int, z: float) -> float:
     """Macdonald function K_{n+1/2}(z) through its finite closed form.
 
     The k-sum is exact (no truncation error); for very large z the result
-    underflows to an exact 0.0, which is the correctly rounded value.
+    underflows to an exact 0.0, which is the correctly rounded value.  A
+    result past the float range (small z, or a k-sum that overflows) is a
+    DomainError.
     """
-    if n < 0 or n != int(n):
-        raise DomainError("order index n must be a nonnegative integer")
-    if z <= 0.0:
+    try:
+        index = operator.index(n)  # any integral type (a numpy integer too)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise DomainError(f"order index n must be a nonnegative integer, got {n!r}")
+    n = index
+    if not z > 0.0:
         raise DomainError("macdonald_half requires z > 0")
-    # sum_{k=0}^{n} (n+k)! / (k! (n-k)! (2z)^k), built by term ratios
+    # sum_{k=0}^{n} (n+k)! / (k! (n-k)! (2z)^k), built by term ratios; once
+    # a term is 0 or the sum inf, the rest cannot change the result
     term = 1.0
     acc = 1.0
-    for k in range(n):
-        term *= (n + k + 1) * (n - k) / (2.0 * (k + 1) * z)
-        acc += term
+    try:
+        for k in range(n):
+            term *= (n + k + 1) * (n - k) / (2.0 * (k + 1) * z)
+            acc += term
+            if term == 0.0 or acc == math.inf:
+                break
+    except OverflowError:  # an order n past the float range
+        acc = math.inf
     pref = math.sqrt(math.pi / (2.0 * z))
     # exp(-z) may underflow; that is the documented exact-0 regime
-    return pref * math.exp(-z) * acc
+    value = pref * math.exp(-z) * acc
+    if not math.isfinite(value):
+        raise DomainError(f"K_(n+1/2)(z) at n={n}, z={z!r} is outside the floating-point range")
+    return value
 
 
 def coth_stable(x: float) -> float:
     """coth(x) for x > 0 without overflow and with full small-x accuracy."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("coth_stable requires x > 0")
     return 1.0 + coth_minus_one(x)
 
 
 def coth_minus_one(x: float) -> float:
     """coth(x) - 1 = 2 e^(-2x) / (1 - e^(-2x)), exact in the large-x tail."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("coth_minus_one requires x > 0")
     return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
 
 
 def inv_sinh_stable(x: float) -> float:
     """1/sinh(x) as 2 e^(-x) / (1 - e^(-2x)); never overflows for large x."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("inv_sinh_stable requires x > 0")
     return 2.0 * math.exp(-x) / -math.expm1(-2.0 * x)
 

@@ -18,17 +18,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .epstein import _odd_x_derivatives
-from .errors import ConvergenceError, DomainError
+from .epstein import EpsteinParams, epstein_direct
+from .errors import DomainError
 from .free_energy import (
     _HALVES,
     PlateKind,
     PlateSystem,
     ThermalPoint,
-    _per_area,
     evaluate_free_energy,
-    f_conducting_single,
     f_nontrivial,
+    free_energy_auto,
     free_energy_low_T,
     zero_temperature_energy,
 )
@@ -76,24 +75,21 @@ class SplitFreeEnergies(namedtuple("SplitFreeEnergies", "f1 f2 xi")):
     __slots__ = ()
 
 
-def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None, what: str):
+def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None) -> EvalResult:
     """F/L^2 of the Boyer pair's conducting half at separation a d, which
-    sees its own scaled temperature a xi: the kernel's profile at a xi
-    divided by (a d)^3."""
-    if not (xi > 0.0 and d > 0.0):
-        raise DomainError(f"{what} requires xi > 0 and d > 0")
-    r = f_conducting_single(a * xi, ctl)
-    return EvalResult(*_per_area(r.value, r.abs_err_est, a * d, 3), r.terms_used, r.rep)
+    sees its own scaled temperature a xi: the conducting pair there, on the
+    kernel's coth series."""
+    return evaluate_free_energy(PlateSystem(a * d, "conductor"), ThermalPoint(a * xi), ctl, "coth")
 
 
 def f1_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
     """F1/L^2: conducting pair at separation 2d, scaled temperature xi."""
-    return _conducting_half(_A1, xi, d, ctl, "f1_eval")
+    return _conducting_half(_A1, xi, d, ctl)
 
 
 def f2_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
     """F2/L^2: conducting pair at separation d, scaled temperature xi."""
-    return _conducting_half(_A2, xi, d, ctl, "f2_eval")
+    return _conducting_half(_A2, xi, d, ctl)
 
 
 def split_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> SplitFreeEnergies:
@@ -103,26 +99,34 @@ def split_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> SplitFr
     )
 
 
-def _relative_residual(lhs: float, rhs: float) -> float:
+def _inversion_residual(f, xi: float, c: float) -> float:
+    """Relative residual of the inversion (c xi)^4 f(1/(c^2 xi)) = f(xi),
+    whose self-dual point is xi = 1/c (Brown and Maclay, Phys. Rev. 184,
+    1272 (1969), in this module's variable).  A xi that is not finite and
+    positive, or whose image or scale (c xi)^4 leaves the float range, is a
+    DomainError."""
+    if not 0.0 < xi < math.inf:
+        raise DomainError(f"the inversion residual requires finite xi > 0, got {xi!r}")
+    try:
+        scale = (c * xi) ** 4
+    except OverflowError:
+        scale = math.inf
+    image = 1.0 / (c * c * xi)
+    if not (0.0 < scale < math.inf and image < math.inf):
+        raise DomainError(f"the inversion of xi={xi!r} leaves the floating-point range")
+    lhs = scale * f(image)
+    rhs = f(xi)
     return abs(lhs - rhs) / max(abs(rhs), _FLOOR)
 
 
 def tis_residual_f1(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
     """Residual of (4 pi xi)^4 F1(1/(16 pi^2 xi)) = F1(xi) at fixed d."""
-    ctl = ctl or _DEFAULT_CTL
-    image = 1.0 / (16.0 * math.pi**2 * xi)
-    lhs = (4.0 * math.pi * xi) ** 4 * f1_eval(image, d, ctl).value
-    rhs = f1_eval(xi, d, ctl).value
-    return _relative_residual(lhs, rhs)
+    return _inversion_residual(lambda x: f1_eval(x, d, ctl).value, xi, 4.0 * math.pi)
 
 
 def tis_residual_f2(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
     """Residual of (2 pi xi)^4 F2(1/(4 pi^2 xi)) = F2(xi) at fixed d."""
-    ctl = ctl or _DEFAULT_CTL
-    image = 1.0 / (4.0 * math.pi**2 * xi)
-    lhs = (2.0 * math.pi * xi) ** 4 * f2_eval(image, d, ctl).value
-    rhs = f2_eval(xi, d, ctl).value
-    return _relative_residual(lhs, rhs)
+    return _inversion_residual(lambda x: f2_eval(x, d, ctl).value, xi, 2.0 * math.pi)
 
 
 def tis_residual_nontrivial(xi: float, ctl: SeriesControl | None = None) -> float:
@@ -135,11 +139,7 @@ def tis_residual_nontrivial(xi: float, ctl: SeriesControl | None = None) -> floa
     point 1/(2 pi).  A version of the map lacking one factor of pi
     circulates in print; it fails numerically at order one.
     """
-    ctl = ctl or _DEFAULT_CTL
-    image = 1.0 / (4.0 * math.pi**2 * xi)
-    lhs = (2.0 * math.pi * xi) ** 4 * f_nontrivial(image, ctl).value
-    rhs = f_nontrivial(xi, ctl).value
-    return _relative_residual(lhs, rhs)
+    return _inversion_residual(lambda x: f_nontrivial(x, ctl).value, xi, 2.0 * math.pi)
 
 
 def tis_residual_boyer_naive(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
@@ -150,26 +150,19 @@ def tis_residual_boyer_naive(xi: float, d: float, ctl: SeriesControl | None = No
     boundary conditions are not symmetric under temperature inversion.
     Only the conducting halves F1 and F2 transform covariantly.
     """
-    ctl = ctl or _DEFAULT_CTL
     sys = PlateSystem(d)
-
-    def f_boyer(x):
-        return evaluate_free_energy(sys, ThermalPoint.from_xi(x, d), ctl).value
-
-    image = 1.0 / (4.0 * math.pi**2 * xi)
-    lhs = (2.0 * math.pi * xi) ** 4 * f_boyer(image)
-    rhs = f_boyer(xi)
-    return _relative_residual(lhs, rhs)
+    return _inversion_residual(lambda x: free_energy_auto(sys, x, ctl).value, xi, 2.0 * math.pi)
 
 
 def identity_alternating(b: float, ctl: SeriesControl | None = None):
     """sum over all integers m of (-1)^m/(m^2+b^2)^2, directly and closed.
 
     Closed form: pi^2 [1/(pi b) + coth(pi b)] / (2 b^2 sinh(pi b)).
-    Returns (lhs, rhs).
+    Returns (lhs, rhs).  Both identities take b in [1e-76, 1e76], where b^4
+    and 1/b^4 are normal doubles.
     """
-    if not b > 0.0:
-        raise DomainError("identity_alternating requires b > 0")
+    if not 1e-76 <= b <= 1e76:
+        raise DomainError(f"identity_alternating requires b in [1e-76, 1e76], got {b!r}")
     ctl = ctl or _DEFAULT_CTL
     b2 = b * b
 
@@ -196,35 +189,14 @@ def identity_plain(b: float, ctl: SeriesControl | None = None):
     """sum over all integers l of 1/(b^2+l^2)^2, directly and closed.
 
     Closed form: pi coth(pi b)/(2 b^3) + pi^2 / (2 b^2 sinh^2(pi b)).
-    The direct side sums f(m) = (m^2 + b^2)^-2 over m = 1..n0 and closes
-    the rest with the elementary integral of f from x = n0 + 1 and the
-    Euler-Maclaurin corrections through f^(7)(x), as the Epstein engine
-    closes its axes; n0 doubles until the last correction is below
-    rel_tol/4 of the sum.  Returns (lhs, rhs).
+    The direct side is 1/b^4 plus twice the Epstein sum E_1(2; 1, b^2),
+    whose engine closes the tail of sum_m (m^2 + b^2)^-2 with its integral
+    and the Euler-Maclaurin corrections.  Returns (lhs, rhs).
     """
-    if not b > 0.0:
-        raise DomainError("identity_plain requires b > 0")
-    ctl = ctl or _DEFAULT_CTL
+    if not 1e-76 <= b <= 1e76:
+        raise DomainError(f"identity_plain requires b in [1e-76, 1e76], got {b!r}")
     b2 = b * b
-    n0 = max(ctl.min_terms, 12)
-    while True:
-        if n0 > ctl.max_terms:
-            raise ConvergenceError(f"identity_plain: no convergence within {ctl.max_terms} terms")
-        head = math.fsum(1.0 / (m * m + b2) ** 2 for m in range(1, n0 + 1))
-        x = n0 + 1.0
-        u = x * x + b2
-        # int_x^inf f = atan(b/x)/(2 b^3) - x/(2 b^2 u); where b << x the two
-        # parts cancel to about 1/(3 x^3), at an absolute cost of about
-        # eps/(b^2 x), far below eps of the sum's 1/b^4
-        integral = math.atan2(b, x) / (2.0 * b2 * b) - x / (2.0 * b2 * u)
-        # h[j] = (d/du)^j u^-2; u' = 2x and u'' = 2
-        h = [(-1) ** j * math.factorial(j + 1) * u ** (-2 - j) for j in range(8)]
-        g1, g3, g5, g7 = _odd_x_derivatives(h, 2.0 * x, 2.0)
-        last = g7 / 1209600.0
-        s = math.fsum((head, integral, 0.5 * h[0], -g1 / 12.0, g3 / 720.0, -g5 / 30240.0, last))
-        if abs(last) <= 0.25 * ctl.rel_tol * s:
-            break
-        n0 *= 2
+    s = epstein_direct(EpsteinParams(2.0, (1.0,), b2), ctl).value
     lhs = math.fsum((1.0 / b2**2, 2.0 * s))
     u = math.pi * b
     ish = inv_sinh_stable(u)
@@ -256,12 +228,13 @@ def low_T_from_high_T(xi: float) -> dict:
     high-temperature closed forms through the TIS relations (d = 1).
 
     mapped = (7/8) pi^2/720 - pi^2 (xi^3 + xi^2/2) e^{-1/(2 xi)},
-    algebraically identical to the direct low-temperature form.
+    algebraically identical to the direct low-temperature form.  The direct
+    form comes first: it rejects a xi that is not finite and positive, and
+    is a DomainError wherever its pi^2 x^2 (x + 1), x = 2 xi, overflows, so
+    the mapped form's xi^3 stays in range.
     """
-    if not xi > 0.0:
-        raise DomainError("low_T_from_high_T requires xi > 0")
+    direct = free_energy_low_T(PlateSystem(1.0), ThermalPoint(xi))
     mapped = 0.875 * math.pi**2 / 720.0 - math.pi**2 * (
         xi**3 + 0.5 * xi * xi
     ) * math.exp(-0.5 / xi)
-    direct = free_energy_low_T(PlateSystem(1.0), ThermalPoint.from_xi(xi, 1.0))
     return {"mapped": mapped, "direct_low_T": direct}

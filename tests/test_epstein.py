@@ -21,6 +21,8 @@ from casimir_plates.errors import CasimirError, DomainError, PoleError
 from casimir_plates.specfun import SeriesControl
 
 CTL = SeriesControl(rel_tol=1e-13)
+# exponents of the continuation's properties, off its poles: z in [-3.3, 10.2]
+_CONTINUATION_Z = (-3.3, -1.3, -0.7, 0.3, 0.8, 1.6, 2.5, 5.5, 10.2)
 
 _SLOW_BESSEL_SUM = """
 import math
@@ -162,21 +164,29 @@ class TestContinuation:
         assert abs(scaled.value - q * base.value) <= scaled.abs_err_est + q * base.abs_err_est
 
     @given(
-        z=st.sampled_from([-3.3, -1.3, -0.7, 0.3, 0.8, 1.6, 2.5, 5.5]),
-        log_ratio=st.floats(0.0, math.log(1e6)),
+        z=st.sampled_from(_CONTINUATION_Z),
+        log_ratio=st.floats(0.0, math.log(1e8)),
     )
     @example(z=0.3, log_ratio=math.log(1e8))
     @example(z=1.6, log_ratio=math.log(1e8))
+    @example(z=10.2, log_ratio=math.log(1e8))
     @settings(max_examples=30, deadline=None)
     def test_exchange_within_the_bars(self, z, log_ratio):
-        # E(z; 1, r) = E(z; r, 1), summed with the Bessel sum decaying like
-        # exp(-2 pi n m / sqrt(r)) and like exp(-2 pi sqrt(r) n m).  The slow
-        # order has ~1/sqrt(r) rows whose truncations add up, and each row's
-        # tail is ~sqrt(r)/n times its last term; no slack on the bars
+        # E(z; 1, r) = E(z; r, 1): in either argument order the value is
+        # within its own bar of the 40-digit continuation; no slack.  The
+        # reference sums with the larger coefficient first, where its Bessel
+        # sum is short
         r = math.exp(log_ratio)
-        slow = epstein2_continued(z, 1.0, r)
-        fast = epstein2_continued(z, r, 1.0)
-        assert abs(slow.value - fast.value) <= slow.abs_err_est + fast.abs_err_est
+        ref = _mpmath_e2(z, r, 1.0)
+        for a1, a2 in ((1.0, r), (r, 1.0)):
+            got = epstein2_continued(z, a1, a2)
+            assert abs(got.value - ref) <= got.abs_err_est, (a1, a2)
+
+    @pytest.mark.parametrize("z", _CONTINUATION_Z)
+    def test_larger_coefficient_summed_first(self, z):
+        # with a2/a1 = 1e8 the Bessel sum in the given order would fall by
+        # exp(-2 pi 1e-4) per term; exchanged it falls by exp(-2 pi 1e4)
+        assert epstein2_continued(z, 1.0, 1e8).terms_used <= 20
 
     def test_below_convergence_region(self):
         # z = 0.8 < N/2: only the continuation can reach it; pin against a
@@ -211,9 +221,10 @@ class TestContinuation:
         assert time.perf_counter() - t0 < 1.0
 
     def test_slow_bessel_sum_ends_in_bounded_time(self):
-        # sqrt(a1/a2) = 1e-150: the Bessel terms barely decay, so the sum
-        # runs to max_terms; its stop rule must not re-sum the terms taken.
-        # A child interpreter, so that a hang fails here after 30 s
+        # sqrt(a1/a2) = 1e-150: in this order the Bessel terms would barely
+        # decay, so the sum must run exchanged, or at least stop at
+        # max_terms without re-summing the terms taken.  A child
+        # interpreter, so that a hang fails here after 30 s
         src = os.path.dirname(os.path.dirname(os.path.abspath(epstein.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -223,9 +234,10 @@ class TestContinuation:
         assert r.stdout.split()[0] in ("finite", "CasimirError")
 
     def test_vanishing_prefactor_ends_at_once(self):
-        # sqrt(a1/a2) = 1e-150 and a Bessel-sum prefactor of ~1e-120: each
-        # term is far below the value, but ~1e149 of them add up to about
-        # 1e60, the value itself.  It must end, either way, within a second
+        # sqrt(a1/a2) = 1e-150 and, in this order, a Bessel-sum prefactor of
+        # ~1e-120: each term is far below the value, but ~1e149 of them add
+        # up to about 1e60, the value itself.  It must end, either way,
+        # within a second
         epstein2_continued(2.0, 1.0, 4.0)  # scipy loaded before the clock starts
         t0 = time.perf_counter()
         try:
@@ -237,7 +249,7 @@ class TestContinuation:
         assert time.perf_counter() - t0 < 1.0
 
     def test_too_slow_bessel_sum_is_summed_exchanged(self):
-        # sqrt(a1/a2) = 1e-150: the first row cannot converge within
+        # sqrt(a1/a2) = 1e-150: the first row could not converge within
         # max_terms, so the sum runs with a1 and a2 exchanged; there every
         # Bessel term is exp(-2 pi 1e150) = 0, and the value is the closed-form
         # head, about 4e59 (not the head of the unexchanged form, about 1)
@@ -250,15 +262,23 @@ class TestContinuation:
             assert abs(r.value - head) <= r.abs_err_est
         assert r.value == pytest.approx(float(head), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "z,a1,a2", [(0.3, 1e-300, 1e300), (3.0, 1.0, 1e-300)],
-        ids=["bessel-sum", "prefactor"],
-    )
+    @pytest.mark.parametrize("z,a1,a2", [(3.0, 1.0, 1e-300)], ids=["prefactor"])
     def test_nonfinite_result_is_a_domain_error(self, z, a1, a2):
-        # sqrt(a1/a2) underflows, so every Bessel term is K(0) = inf; and
         # a2^(z/2 + 1/4) underflows, so the prefactor divides by zero
         with pytest.raises(DomainError, match="not finite"):
             epstein2_continued(z, a1, a2, CTL)
+
+    def test_underflowing_coefficient_ratio_is_the_head(self):
+        # a1/a2 = 1e-600 underflows, but E_2 is finite: summed with
+        # a1 = 1e300 first, every Bessel term is exp(-2 pi 1e300) = 0 and
+        # the value is the closed-form head, about 4.26e209
+        r = epstein2_continued(0.3, 1e-300, 1e300, CTL)
+        with mpmath.workdps(30):
+            z, a1, a2 = mpmath.mpf(0.3), mpmath.mpf(1e300), mpmath.mpf(1e-300)
+            head = -(a1**-z) / 2 * mpmath.zeta(2 * z) + mpmath.sqrt(mpmath.pi / a2) / 2 * (
+                mpmath.gamma(z - 0.5) / mpmath.gamma(z) * a1 ** (0.5 - z) * mpmath.zeta(2 * z - 1))
+            assert abs(r.value - head) <= r.abs_err_est
+        assert r.value == pytest.approx(float(head), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,132 @@
+"""Every public callable of the validation layer is total: at any argument
+it returns a finite value or raises a CasimirError, never another
+exception, inf or nan."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casimir_plates import epstein, specfun, symmetry
+from casimir_plates.errors import CasimirError, DomainError
+from casimir_plates.free_energy import f_conducting_single
+from casimir_plates.specfun import EvalResult, SeriesControl
+
+# a small budget: the property asks only how a call ends, and a sum that
+# needs more terms than this ends in a ConvergenceError at any budget
+CTL = SeriesControl(max_terms=10**4)
+INF, NAN = math.inf, math.nan
+
+# log-uniform in [1e-300, 1e300], plus 0, inf and nan
+X = st.one_of(
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+    st.sampled_from([0.0, INF, NAN]),
+)
+# a slot that takes an integer draws small integers as well
+N = st.one_of(X, st.integers(0, 10**4))
+
+# each public callable as (call, strategies of its positional arguments);
+# the calls that take a SeriesControl get CTL
+CASES = {
+    "SeriesControl": (SeriesControl, (X, N, N)),
+    "EvalResult": (EvalResult, (X, X, N, st.just("coth"))),
+    "riemann_zeta": (specfun.riemann_zeta, (X,)),
+    "macdonald_half": (specfun.macdonald_half, (N, X)),
+    "coth_stable": (specfun.coth_stable, (X,)),
+    "coth_minus_one": (specfun.coth_minus_one, (X,)),
+    "inv_sinh_stable": (specfun.inv_sinh_stable, (X,)),
+    "EpsteinParams": (epstein.EpsteinParams, (X, st.tuples(X) | st.tuples(X, X), X)),
+    "epstein_direct": (
+        lambda z, a, m2: epstein.epstein_direct(epstein.EpsteinParams(z, a, m2), CTL),
+        (X, st.tuples(X) | st.tuples(X, X), X),
+    ),
+    "epstein1_closed": (epstein.epstein1_closed, (X, X)),
+    "epstein2_continued": (
+        lambda z, a1, a2: epstein.epstein2_continued(z, a1, a2, CTL), (X, X, X)),
+    "SplitFreeEnergies": (symmetry.SplitFreeEnergies, (X, X, X)),
+    "f1_eval": (lambda xi, d: symmetry.f1_eval(xi, d, CTL), (X, X)),
+    "f2_eval": (lambda xi, d: symmetry.f2_eval(xi, d, CTL), (X, X)),
+    "split_eval": (lambda xi, d: symmetry.split_eval(xi, d, CTL), (X, X)),
+    "tis_residual_f1": (lambda xi, d: symmetry.tis_residual_f1(xi, d, CTL), (X, X)),
+    "tis_residual_f2": (lambda xi, d: symmetry.tis_residual_f2(xi, d, CTL), (X, X)),
+    "tis_residual_nontrivial": (lambda xi: symmetry.tis_residual_nontrivial(xi, CTL), (X,)),
+    "tis_residual_boyer_naive": (
+        lambda xi, d: symmetry.tis_residual_boyer_naive(xi, d, CTL), (X, X)),
+    "identity_alternating": (lambda b: symmetry.identity_alternating(b, CTL), (X,)),
+    "identity_plain": (lambda b: symmetry.identity_plain(b, CTL), (X,)),
+    "sb_to_casimir": (symmetry.sb_to_casimir, ()),
+    "low_T_from_high_T": (symmetry.low_T_from_high_T, (X,)),
+}
+# record types hold what they are given once their own checks pass: of
+# them the property asks only that they construct or raise a CasimirError
+RECORDS = {"SeriesControl", "EvalResult", "EpsteinParams", "SplitFreeEnergies"}
+
+
+def _finite(r) -> bool:
+    if isinstance(r, EvalResult):
+        return math.isfinite(r.value) and math.isfinite(r.abs_err_est)
+    if isinstance(r, dict):
+        return all(map(_finite, r.values()))
+    if isinstance(r, tuple):
+        return all(map(_finite, r))
+    return not isinstance(r, float) or math.isfinite(r)
+
+
+def test_every_public_callable_has_a_case():
+    public = {
+        name
+        for module in (specfun, epstein, symmetry)
+        for name in module.__all__
+        if callable(getattr(module, name))
+    }
+    assert public == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_total(name, data):
+    call, strategies = CASES[name]
+    args = [data.draw(s) for s in strategies]
+    try:
+        r = call(*args)
+    except CasimirError:
+        return
+    assert name in RECORDS or _finite(r), (args, r)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: f_conducting_single(INF), id="f_conducting_single-inf"),
+    pytest.param(lambda: symmetry.identity_alternating(1e-300), id="identity_alternating-tiny"),
+    pytest.param(lambda: symmetry.identity_plain(1e-300), id="identity_plain-tiny"),
+    pytest.param(lambda: symmetry.low_T_from_high_T(1e300), id="low_T_from_high_T-huge"),
+    pytest.param(lambda: symmetry.f1_eval(0.3, INF), id="f1_eval-d-inf"),
+    pytest.param(lambda: symmetry.f1_eval(INF, 1.0), id="f1_eval-xi-inf"),
+    pytest.param(lambda: symmetry.tis_residual_f1(0.0, 1.0), id="tis_residual_f1-zero"),
+    pytest.param(lambda: symmetry.tis_residual_f2(1e300, 1.0), id="tis_residual_f2-huge"),
+    pytest.param(lambda: symmetry.tis_residual_nontrivial(0.0), id="tis_residual_nontrivial-zero"),
+    pytest.param(lambda: symmetry.tis_residual_boyer_naive(1e300, 1.0),
+                 id="tis_residual_boyer_naive-huge"),
+    pytest.param(lambda: epstein.epstein1_closed(2.0, 1e-300), id="epstein1_closed-tiny-a"),
+    pytest.param(lambda: epstein.epstein1_closed(-3.3, 1e300), id="epstein1_closed-huge-a"),
+    pytest.param(lambda: epstein.epstein1_closed(-3.3, INF), id="epstein1_closed-inf-a"),
+    # Gamma(z) overflows, so the prefactor is 0 and the Bessel terms inf
+    pytest.param(lambda: epstein.epstein2_continued(540.0, 6.5, 13.7),
+                 id="epstein2_continued-large-z"),
+    pytest.param(lambda: specfun.macdonald_half(2, 1e-300), id="macdonald_half-tiny"),
+    pytest.param(lambda: specfun.macdonald_half(1, NAN), id="macdonald_half-nan"),
+    pytest.param(lambda: specfun.coth_stable(NAN), id="coth_stable-nan"),
+    pytest.param(lambda: specfun.coth_minus_one(NAN), id="coth_minus_one-nan"),
+    pytest.param(lambda: specfun.inv_sinh_stable(NAN), id="inv_sinh_stable-nan"),
+])
+def test_out_of_range_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_zeta_at_large_s_rounds_to_one():
+    # zeta(s) - 1 < 2^(1-s): below half an ulp of 1 from s = 54 on
+    assert specfun.riemann_zeta(1e300) == 1.0
+    assert specfun.riemann_zeta(INF) == 1.0
+    assert specfun.ZETA3.hex() == "0x1.33ba004f00620p+0"

@@ -1,4 +1,4 @@
-"""Check that two source trees give bit-identical routed outputs.
+"""Check that two source trees give bit-identical outputs.
 
     python3 tools/bit_identity.py OTHER_TREE [--points 10000] [--seed 0]
 
@@ -8,9 +8,15 @@ child evaluates, at the same seeded log-uniform points d in [1e-2, 1e2]
 and xi in [1e-3, 10] plus a few edge points (xi = 0 and xi whose thermal
 factor underflows), ``free_energy_auto`` for both plate pairs and
 ``pressure_auto``, and records (value, abs_err_est, terms_used, rep) with
-floats in hex.  It also runs seeded ``casimir eval`` and ``sweep``
-commands with ``--rep auto`` (given ``--xi`` or ``--beta``) in-process and
-records their stdout and CSV bytes.  Exits 1 on the first difference.
+floats in hex.  At the seeded points alone it also evaluates the
+validation layer beyond the routed path: ``f1_eval``, ``f2_eval``,
+``tis_residual_f1``, ``tis_residual_f2`` and ``tis_residual_boyer_naive``
+at every point, and ``tis_residual_nontrivial``, whose lattice sums take
+about a millisecond, at every 20th.  It also runs seeded ``casimir eval``
+and ``sweep`` commands with ``--rep auto`` (given ``--xi`` or ``--beta``)
+and seeded evals with an explicit ``--rep`` of ``coth``, ``poisson``,
+``double``, ``bessel``, ``low`` or ``high``, in-process, and records their
+exit code, stdout and CSV bytes.  Exits 1 on the first difference.
 """
 from __future__ import annotations
 
@@ -26,6 +32,9 @@ import tempfile
 
 EDGE_XI = (0.0, 1e-5, 5e-4, 6.7e-4, 6.8e-4)
 QUANTITIES = ("free_energy", "pressure", "f_scaled", "p_scaled")
+EXPLICIT_REPS = ("coth", "poisson", "double", "bessel", "low", "high")
+SYMMETRY = ("f1_eval", "f2_eval", "tis_residual_f1", "tis_residual_f2",
+            "tis_residual_boyer_naive", "tis_residual_nontrivial")
 
 
 def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -37,6 +46,8 @@ def _outcome(fn):
         r = fn()
     except Exception as exc:  # the error itself must match between trees
         return ["error", type(exc).__name__, str(exc)]
+    if isinstance(r, float):  # a residual
+        return r.hex()
     return [r.value.hex(), r.abs_err_est.hex(), r.terms_used, r.rep]
 
 
@@ -54,17 +65,27 @@ def _cli_run(cli, argv, csv_path=None):
 
 def emit(points: int, seed: int) -> dict:
     """Child side: evaluate everything at the seeded inputs."""
-    from casimir_plates import PlateSystem, cli, free_energy_auto, pressure_auto
+    from casimir_plates import PlateSystem, cli, free_energy_auto, pressure_auto, symmetry
 
     rng = random.Random(seed)
-    pts = [(_loguniform(rng, 1e-2, 1e2), _loguniform(rng, 1e-3, 10.0)) for _ in range(points)]
-    pts += [(d, xi) for d in (0.01, 1.0, 100.0) for xi in EDGE_XI]
+    seeded = [(_loguniform(rng, 1e-2, 1e2), _loguniform(rng, 1e-3, 10.0)) for _ in range(points)]
+    pts = seeded + [(d, xi) for d in (0.01, 1.0, 100.0) for xi in EDGE_XI]
     rows = []
     for d, xi in pts:
         rows.append([
             _outcome(lambda: free_energy_auto(PlateSystem(d), xi)),
             _outcome(lambda: free_energy_auto(PlateSystem(d, "conductor"), xi)),
             _outcome(lambda: pressure_auto(d, xi)),
+        ])
+    sym = []
+    for i, (d, xi) in enumerate(seeded):
+        sym.append([
+            _outcome(lambda: symmetry.f1_eval(xi, d)),
+            _outcome(lambda: symmetry.f2_eval(xi, d)),
+            _outcome(lambda: symmetry.tis_residual_f1(xi, d)),
+            _outcome(lambda: symmetry.tis_residual_f2(xi, d)),
+            _outcome(lambda: symmetry.tis_residual_boyer_naive(xi, d)),
+            _outcome(lambda: symmetry.tis_residual_nontrivial(xi)) if i % 20 == 0 else None,
         ])
     cmds = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,6 +98,14 @@ def emit(points: int, seed: int) -> dict:
             argv = ["eval", "--quantity", QUANTITIES[i % 4], "--system", system,
                     "--d", repr(d), *thermal]
             cmds.append(_cli_run(cli, argv))
+        for i in range(600):
+            d = _loguniform(rng, 1e-2, 1e2)
+            xi = _loguniform(rng, 1e-3, 10.0)
+            argv = ["eval", "--quantity", rng.choice(("free_energy", "f_scaled")),
+                    "--system", rng.choice(("boyer", "conductor")),
+                    "--rep", EXPLICIT_REPS[i % len(EXPLICIT_REPS)], "--d", repr(d),
+                    "--xi", repr(xi)]
+            cmds.append(_cli_run(cli, argv))
         for q in QUANTITIES:
             for spacing in ("linear", "log"):
                 argv = ["sweep", "--quantity", q, "--xi-min", "1e-3", "--xi-max", "10",
@@ -84,7 +113,8 @@ def emit(points: int, seed: int) -> dict:
                 cmds.append(_cli_run(cli, argv, csv_path))
         for fid in ("1", "2", "3"):
             cmds.append(_cli_run(cli, ["figure", fid, "--out", csv_path], csv_path))
-    return {"points": [[d.hex(), xi.hex()] for d, xi in pts], "rows": rows, "cli": cmds}
+    return {"points": [[d.hex(), xi.hex()] for d, xi in pts], "rows": rows, "sym": sym,
+            "cli": cmds}
 
 
 def _run_tree(tree: str, points: int, seed: int) -> dict:
@@ -112,13 +142,19 @@ def main(argv) -> int:
             if x != y:
                 print(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
                 return 1
+    for (d, xi), ra, rb in zip(a["points"], a["sym"], b["sym"]):
+        for name, x, y in zip(SYMMETRY, ra, rb):
+            if x != y:
+                print(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
+                return 1
     for i, (x, y) in enumerate(zip(a["cli"], b["cli"])):
         if x != y:
             print(f"DIFF cli command {i}: {x[:2]} != {y[:2]}")
             return 1
     n = len(a["rows"])
+    n_sym = sum(x is not None for row in a["sym"] for x in row)
     print(f"identical: {n} points x {len(names)} routed functions = {n * len(names)} "
-          f"outcomes, {len(a['cli'])} CLI commands")
+          f"outcomes, {n_sym} symmetry outcomes, {len(a['cli'])} CLI commands")
     return 0
 
 
