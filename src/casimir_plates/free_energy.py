@@ -80,7 +80,8 @@ class PlateSystem(_record("PlateSystem", "d kind")):
     __slots__ = ()
 
     def __new__(cls, d: float, kind: PlateKind | str = PlateKind.BOYER_MIXED):
-        _require_separation(d)
+        if not 0.0 < d < _INF:
+            _require_separation(d)
         if not isinstance(kind, PlateKind):
             kind = PlateKind(kind)
         return tuple.__new__(cls, (d, kind))
@@ -136,19 +137,25 @@ _BESSEL_THERMAL_SIGN = 1.0
 _COTH_POISSON_SPLIT = 1.0 / (2.0 * math.pi)
 _POISSON_XI_FLOOR = 0.05  # both Poisson forms converge too slowly below this xi
 _EPS = _sys.float_info.epsilon
+_INF = math.inf
+# the largest xi with exp(-1/(2 xi)) == 0.0, bisected between exp(-833) = 0 and exp(-714) > 0
+_ZERO_T_XI, _hi = 6e-4, 7e-4
+while _ZERO_T_XI < (_mid := 0.5 * (_ZERO_T_XI + _hi)) < _hi:
+    _ZERO_T_XI, _hi = (_mid, _hi) if math.exp(-0.5 / _mid) == 0.0 else (_ZERO_T_XI, _mid)
+del _hi, _mid
 
 
 def _route(xi: float) -> str:
     """The one router of free energy and pressure: 'zero-T', 'coth' or 'poisson'.
 
     xi = 0 is the exact zero-temperature limit (removable).  So is every xi
-    whose exp(-1/(2 xi)) is exact floating-point zero: each thermal
-    correction carries that factor, and beta = d/(pi xi) may not even be
-    representable.
+    whose exp(-1/(2 xi)) is exact floating-point zero, xi <= _ZERO_T_XI:
+    each thermal correction carries that factor, and beta = d/(pi xi) may
+    not even be representable.
     """
     if not (xi >= 0.0 and math.isfinite(xi)):
         raise DomainError(f"xi must be finite and nonnegative, got {xi!r}")
-    if xi == 0.0 or math.exp(-0.5 / xi) == 0.0:
+    if xi <= _ZERO_T_XI:
         return "zero-T"
     return "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
 
@@ -182,19 +189,30 @@ _HALVES = {
 
 
 def _plan(halves, route: str, p: bool):
-    """What :func:`_pair_profile` composes on a route: the pair's two
-    monomials combined over its halves, (c sum_h w_h a_h^k, k), exactly 0
-    for the Boyer pair's zeta(3) x^3 term; and its series halves as
-    (a, w scale, |w scale|), scale the route's series prefactor.  Route
-    'zero-T' has the coth route's monomials and no series."""
-    monomials = tuple(
+    """What :func:`_pair_profile` composes on a route: ((c0, k0, c1, k1,
+    rate), halves), c x^k the pair's monomials combined over its halves,
+    c sum_h w_h a_h^k (exactly 0 for the Boyer pair's zeta(3) x^3), and
+    e^(-rate/xi) (coth) or e^(-rate xi) (Poisson) its slowest tail ratio.
+    A half is ((fast, kA, kB, kC), w scale, |w scale|): a fast half has
+    twice that rate, and its coefficients are A = kA xi^3 (Poisson: kA xi),
+    B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series."""
+    (c0, k0), (c1, k1) = (
         (c * (3 - k if p else 1) * math.fsum(w * a**k for a, w in halves), k)
         for c, k in _MONOMIALS["poisson" if route == "poisson" else "coth"]
     )
     if route == "zero-T":
-        return monomials, ()
+        return (c0, k0, c1, k1, 0.0), ()
     scale = _SERIES_SCALE[route][p]
-    return monomials, tuple((a, w * scale, abs(w * scale)) for a, w in halves)
+    coth = route == "coth"
+    slow = (max if coth else min)(a for a, _ in halves)
+    series = []
+    for a, w in halves:
+        if coth:
+            ks = (0.0, 0.0, a) if p else (4.0 * a**3, 2.0 * a**2, 0.0)
+        else:
+            ks = (a, 2.0 * math.pi**2 * a**2, 4.0 * math.pi**4 * a**3 if p else 0.0)
+        series.append(((a != slow, *ks), w * scale, abs(w * scale)))
+    return (c0, k0, c1, k1, 1.0 / slow if coth else 4.0 * math.pi**2 * slow), tuple(series)
 
 
 # _PLANS[kind][route] is (free-energy plan, pressure plan), indexed by the
@@ -206,112 +224,101 @@ _PLANS = {
 }
 
 
-def _conductor_series(x: float, route: str, pressure: bool, ctl: SeriesControl):
-    """Terms of the series part of the conducting-pair profile g(x), or of p(x).
-
-    Every term is positive.  coth route, s = n/(2x):
-      g: sum_n 4x^3/n^3 (coth s - 1) + 2x^2/n^2 csch^2 s,
-      p: sum_n x coth s csch^2 s / n;
-    Poisson route, u = 2 pi^2 m x:
-      g: sum_m [x (coth u - 1) + 2 pi^2 m x^2 csch^2 u] / m^3,
-      p: the same plus (2 pi^2 m)^2 x^3 coth u csch^2 u in the bracket.
-    With e = e^(-v) and D = 1 - e^(-2v): csch v = 2e/D, coth v - 1 = 2e^2/D.
-
-    The tail bound is proven from the first term.  With r = e^(-rate)
-    (rate = 1/x on the coth route, 4 pi^2 x on the Poisson route) e^(-2v)
-    is r^n, and each of the four term types is r^n times a sum of positive
-    factors n^-k (k = 1, 2, 3) D^-j (j = 1, 2, 3), the ones with coth also
-    times 1 + r^n; none increases with n, since D = 1 - r^n grows.  So
-    every ratio of successive terms is at most r, the tail after a term t
-    is at most t r/(1 - r), and q t with q = 2r/(1 - r) bounds it with a
-    factor 2 to spare for rounding.  The first term's 2v is the rate bit for
-    bit, so its D is the 1 - r of q.
-
-    The sum stops at the first n with q t <= tol partial, where tol is
-    min(rel_tol, eps/2) below ``ctl.min_terms`` (a sum leaves before that
-    floor only once its tail cannot move the double result) and rel_tol
-    from there on.  Returns (terms, tail bound); running into
-    ``ctl.max_terms`` is a ConvergenceError, as in :func:`sum_until`.
-    """
-    coth = route == "coth"
-    if coth:
-        v = 0.5 / x
-    else:
-        c = 2.0 * math.pi**2 * x
-        v = c
-    dm = -math.expm1(-2.0 * v)
-    q = 2.0 * math.exp(-2.0 * v) / dm
-    min_terms, rel_tol = ctl.min_terms, ctl.rel_tol
-    early_tol = min(rel_tol, 0.5 * _EPS)
-    parts = []
-    total = 0.0
-    n = 1
-    while True:
-        e = math.exp(-v)
-        ish = 2.0 * e / dm
-        if coth:
-            if pressure:
-                t = x * (1.0 + e * ish) * ish * ish / n
-            else:
-                t = 2.0 * x * x / (n * n) * (2.0 * x / n * e * ish + ish * ish)
-        else:
-            a = v * ish
-            t = e * ish + a * ish
-            if pressure:
-                t += a * a * (1.0 + e * ish)
-            t = x * t / n**3
-        parts.append(t)
-        total += t
-        bound = q * t
-        if bound <= (rel_tol if n >= min_terms else early_tol) * total:
-            return parts, bound
-        if n == ctl.max_terms:
-            raise ConvergenceError(
-                f"conductor {route} series: no convergence within {ctl.max_terms} terms"
-            )
-        n += 1
-        v = 0.5 * n / x if coth else c * n
-        dm = -math.expm1(-2.0 * v)
-
-
 def _pair_profile(
     kind: PlateKind, xi: float, route: str, pressure: bool, ctl: SeriesControl | None = None
 ):
-    """d^3 F (pressure: d^4 P) of a plate pair, composed from the kernel.
+    """d^3 F (pressure: d^4 P) of a plate pair, every half in one pass.
 
-    Returns (value, series part, error bar, terms).  The series part is the
-    halves' kernel sums, weighted and scaled; the closed-form monomials are
-    combined over the halves first, so the Boyer pair's zeta(3) x^3 terms
-    cancel exactly.  Route 'zero-T' keeps the monomials alone, with error
-    bar 0 by convention: every series term underflows there.  Otherwise the
-    bar is each half's tail bound plus 8 eps of its series for rounding,
-    4 eps of the monomials, and eps |value| per rounding of the combination
-    and its scaling; a value outside the float range is a DomainError.
+    Returns (value, series part, error bar, terms).  The monomials are
+    combined over the halves first (the Boyer pair's zeta(3) x^3 terms
+    cancel exactly); route 'zero-T' keeps them alone, with bar 0.
+
+    Series.  With r = e^(-2v), D = 1 - r, y = coth v - 1 = 2r/D and
+    z = csch^2 v = 2y/D the conducting profile's terms are, with
+    v = n/(2x) on the coth route and v = n c, c = 2 pi^2 x, on the Poisson
+      coth     g: (4x^3 y/n + 2x^2 z)/n^2     p: x z (1 + y)/n
+      Poisson  g: (x y/n + x c z)/n^2         p: g + x c^2 z (1 + y)/n.
+    They need r_n = r_1^n, r_1 = e^(-rate), rate = 1/x or 4 pi^2 x.  One
+    exp gives the slowest half's r_1, the other half's is its square, and
+    each half runs r_n = r_(n-1) r_1, with D_n = 1 - r_n while r_n < 1/2
+    (routed points have r_1 <= e^(-pi)), -expm1(-n rate) from 1/2 up.
+
+    Tail.  Each term is r^n times factors n^-k, D^-j, r^n, 1 + y that do
+    not increase with n, so the terms fall by r_1 or more each, the tail
+    after a term t is at most t r_1/(1 - r_1), and q t, q = 2 r_1/D_1,
+    bounds it with a factor 2 to spare for rounding.  A half stops at the
+    first n with q t <= tol partial, tol = min(rel_tol, eps/2) below
+    ``ctl.min_terms`` (early only once its tail cannot move the double
+    result), rel_tol from there on; ``ctl.max_terms`` is a ConvergenceError.
+
+    Rounding, to first order in u = eps/2, exp and expm1 within 1 ulp: the
+    rate carries 3u, so r_1 is within (3 rate + 5)u, r_n within
+    rho_n = n (3 rate + 6)u.  A term is at most r^2/D^3 in r and D, with
+    18u from its other factors and operations; D = 1 - r carries
+    w rho_n + u (w = r/D <= min(1, q/2)), expm1's D 6u.  So term n is within
+    (2 + 3w) rho_n + 36u, sum_n n t_n <= (1 + q/2) s as the terms fall by
+    r_1, the running sum of N terms adds (N - 1)u s, and as
+    (3 + 4.5 min(1, q/2))(1 + q/2) <= 3 + 6q a half's rounding allowance is
+      eps s ((3 + 6q)(rate + 2) + 18 + N/2)
+    (a term whose r_n is subnormal is below 2^-1021 of its coefficients).
+    The bar adds to the halves' weighted tail bounds and allowances 4 eps of
+    the monomials and eps |value| per rounding of their sum and its scaling.
     """
-    ((c0, k0), (c1, k1)), halves = _PLANS[kind][route][pressure]
-    ctl = ctl or _DEFAULT_CTL
-    s_part = err = 0.0
-    terms = 0
+    (c0, k0, c1, k1, rate), halves = _PLANS[kind][route][pressure]
+    rel_tol, max_terms, min_terms = ctl or _DEFAULT_CTL
+    s_part, err, terms = 0.0, 0.0, 0
     try:
-        m0 = c0 * xi**k0
-        m1 = c1 * xi**k1
-        for a, ws, abs_ws in halves:
-            parts, bound = _conductor_series(a * xi, route, pressure, ctl)
-            s = math.fsum(parts)
-            s_part += ws * s
-            err += abs_ws * (bound + 8.0 * _EPS * s)
-            terms += len(parts)
+        m0, m1 = c0 * xi**k0, c1 * xi**k1
         if halves:
-            err += 4.0 * _EPS * (abs(m0) + abs(m1))
+            xi2, coth = xi * xi, route == "coth"
+            rate, pa, pc = (rate / xi, xi2 * xi, xi) if coth else (rate * xi, xi, xi2 * xi)
+            base = math.exp(-rate)
+            early_tol = rel_tol if rel_tol < 0.5 * _EPS else 0.5 * _EPS
+            for (fast, ka, kb, kc), ws, abs_ws in halves:
+                if fast:
+                    lam = rate + rate
+                    r = r1 = base * base
+                else:
+                    lam = rate
+                    r = r1 = base
+                a, b = ka * pa, kb * xi2
+                h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-lam)
+                q = y = h * r
+                z = h * y
+                t = a * y + b * z  # term 1, where dividing by n is exact
+                if pressure:
+                    t += kc * pc * z * (1.0 + y)
+                total, n = t, 1
+                # early_tol <= rel_tol, so this is the stop rule above
+                while not (q * t <= early_tol * total
+                           or (n >= min_terms and q * t <= rel_tol * total)):
+                    if n == max_terms:
+                        raise ConvergenceError(
+                            f"conductor {route} series: no convergence within {max_terms} terms"
+                        )
+                    n += 1
+                    r *= r1
+                    h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-n * lam)
+                    y = h * r
+                    z = h * y
+                    if pressure:
+                        t = ((a * y / n + b * z) / n + kc * pc * z * (1.0 + y)) / n
+                    else:
+                        t = (a * y / n + b * z) / (n * n)
+                    total += t
+                s_part += ws * total
+                err += abs_ws * (
+                    q * t + ((3.0 + 6.0 * q) * (lam + 2.0) + 18.0 + 0.5 * n) * _EPS * total)
+                terms += n
         # two monomials, so the plain sum rounds once, like fsum; a
         # non-finite half gives inf or nan here, caught below
         value = m0 + m1 + s_part
+        if halves:
+            err += _EPS * (4.0 * (abs(m0) + abs(m1)) + 2.0 * abs(value))
     except OverflowError:
         value = math.inf
-    if not (math.isfinite(value) and math.isfinite(err)):
+    if not (-_INF < value < _INF and err < _INF):
         raise DomainError(f"the plate-pair profile at xi={xi!r} overflows the floating-point range")
-    if halves:
-        err += 2.0 * _EPS * abs(value)
     return value, s_part, err, terms
 
 
@@ -328,11 +335,11 @@ def _per_area(value: float, err: float, d: float, power: int):
     return value, err
 
 
-def _pair(sys: PlateSystem, xi: float, route: str, ctl: SeriesControl | None) -> EvalResult:
-    """F/L^2 of the plate pair on one route of the conductor kernel."""
-    value, _, err, terms = _pair_profile(sys.kind, xi, route, False, ctl)
-    value, err = _per_area(value, err, sys.d, 3)
-    return EvalResult(value, err, terms, route)
+def _pair(sys: PlateSystem, xi: float, route: str, ctl, pressure=False, rep=None) -> EvalResult:
+    """F/L^2 (pressure: P) of the plate pair on one route of the kernel, as ``rep``."""
+    value, _, err, terms = _pair_profile(sys.kind, xi, route, pressure, ctl)
+    value, err = _per_area(value, err, sys.d, 4 if pressure else 3)
+    return EvalResult(value, err, terms, rep or route)
 
 
 def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -537,11 +544,21 @@ def free_energy_mode_integral(
     black-body integrand integrated above each discrete transverse
     threshold, for conducting pairs at separations 2d and d.  The threshold
     sum needs about 70 xi thresholds; past ``ctl.max_terms`` of them it
-    is a SlowConvergenceError.
+    is a SlowConvergenceError, raised at once where certain: the sum stops at
+    n once |J(n/(2 xi))| < 1e-14 |sum|, while |J(y)| >= (1 + y) e^-y and
+    |sum| <= min(n zeta(3), 2 xi int_0^inf |J| = 4 xi zeta(4)) (part n is at
+    most |J(n/(2 xi))| <= zeta(3), decreasing); where ``ctl.max_terms``
+    fails that by 2.5x (room for quadrature error), every n fails it.
     """
     _require_boyer(sys, "mode-integral")
     ctl = ctl or _DEFAULT_CTL
     xi = t.xi
+    too_slow = SlowConvergenceError(f"mode integral: no convergence within {ctl.max_terms} "
+                                    f"thresholds at xi={xi!r}; use the poisson representation")
+    y = 0.5 * ctl.max_terms / xi
+    if (1.0 + y) * math.exp(-y) >= 2.5 * _MODE_TOL * min(
+            ctl.max_terms * ZETA3, 2.0 * math.pi**4 * xi / 45.0):
+        raise too_slow
     parts = []
     qerr = 0.0
     n = 0
@@ -554,10 +571,7 @@ def free_energy_mode_integral(
         if n >= 4 and abs(j1) < _MODE_TOL * max(1e-300, abs(math.fsum(parts))):
             break
         if n >= ctl.max_terms:
-            raise SlowConvergenceError(
-                f"mode integral: no convergence within {ctl.max_terms} thresholds "
-                f"at xi={xi!r}; use the poisson representation"
-            )
+            raise too_slow
     # d^3 F = d^3 E_0 - pi^2 xi^3 f, i.e. F = E_0 - f/(pi beta^3)
     q = math.pi**2 * xi**3
     value = _pair_profile(sys.kind, 0.0, "zero-T", False)[0] - q * math.fsum(parts)
@@ -592,8 +606,8 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
                 e = -x * (0.25 + math.pi**2 * x) * r
         else:
             e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
-        monomials = _PLANS[kind]["poisson" if high else "coth"][pressure][0]
-        value = w * e + sum(c * xi**k for c, k in monomials)
+        c0, k0, c1, k1, _ = _PLANS[kind]["poisson" if high else "coth"][pressure][0]
+        value = w * e + (c0 * xi**k0 + c1 * xi**k1)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -668,4 +682,13 @@ def free_energy_auto(
     zero-temperature limit (removable).  On the 'zero-T' route only the
     closed-form terms survive: the conducting pair keeps its
     -pi^2 zeta(3) xi^3/(2 d^3)."""
-    return _pair(sys, xi, _route(xi), ctl)
+    if _ZERO_T_XI < xi < _INF:  # the routes of _route, inline
+        route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
+    else:
+        route = _route(xi)
+    value, _, err, terms = _pair_profile(sys.kind, xi, route, False, ctl)
+    d = sys.d
+    value, err = value / d / d / d, err / d / d / d
+    if not (-_INF < value < _INF and err < _INF):
+        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
+    return tuple.__new__(EvalResult, (value, err, terms, route))

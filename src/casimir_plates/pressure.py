@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 
-from .errors import SlowConvergenceError
+from .errors import DomainError, SlowConvergenceError
 from .free_energy import (
+    _COTH_POISSON_SPLIT,
     _EPS,
+    _INF,
     _POISSON_XI_FLOOR,
+    _ZERO_T_XI,
     PlateKind,
     PlateSystem,
     ThermalPoint,
     _asymptotic_profile,
+    _pair,
     _pair_profile,
     _per_area,
     _require_boyer,
@@ -77,10 +81,7 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
 
 
 def _pressure(d: float, xi: float, route: str, ctl: SeriesControl | None, rep: str) -> EvalResult:
-    _require_separation(d)
-    value, _, err, terms = _pair_profile(PlateKind.BOYER_MIXED, xi, route, True, ctl)
-    value, err = _per_area(value, err, d, 4)
-    return EvalResult(value, err, terms, rep)
+    return _pair(PlateSystem(d), xi, route, ctl, True, rep)
 
 
 def pressure_net_dfdxi(
@@ -183,5 +184,14 @@ def pressure_high_T(t: ThermalPoint, d: float) -> float:
 def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Routed pressure by scaled temperature: derivative form at small xi,
     Poisson above; xi = 0 is the exact zero-temperature limit (removable)."""
-    route = _route(xi)
-    return _pressure(d, xi, route, ctl, "dfdxi" if route == "coth" else route)
+    if _ZERO_T_XI < xi < _INF:  # the routes of _route, inline
+        route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
+    else:
+        route = _route(xi)
+    if not 0.0 < d < _INF:
+        _require_separation(d)
+    value, _, err, terms = _pair_profile(PlateKind.BOYER_MIXED, xi, route, True, ctl)
+    value, err = value / d / d / d / d, err / d / d / d / d
+    if not (-_INF < value < _INF and err < _INF):
+        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
+    return tuple.__new__(EvalResult, (value, err, terms, "dfdxi" if route == "coth" else route))

@@ -90,8 +90,9 @@ def riemann_zeta(s: float) -> float:
     term N^(1-s)/(s-1) plus Euler-Maclaurin corrections; for s < 0 the
     reflection formula maps the argument back to s > 1.  From s = 54 on,
     zeta(s) - 1 < 2^(1-s) is below half an ulp of 1, so zeta(s) rounds to
-    1.0, also at s = inf.  Where Gamma(1 - s) of the reflection overflows
-    (s < -171.6), and at s = -inf or nan, it is a DomainError.
+    1.0, also at s = inf.  Where Gamma(1 - s) overflows (s < -170.6) the
+    reflection is formed in log space; where zeta(s) itself leaves the float
+    range (below about s = -260), and at s = -inf or nan, it is a DomainError.
     """
     if s == 1.0:
         raise PoleError("riemann_zeta has a simple pole at s = 1", location=1.0)
@@ -113,8 +114,13 @@ def riemann_zeta(s: float) -> float:
                 * math.gamma(1.0 - s)
                 * riemann_zeta(1.0 - s)
             )
-        except OverflowError:  # from s < -171.6 on
-            raise DomainError(f"riemann_zeta({s!r}): Gamma(1 - s) overflows") from None
+        except OverflowError:  # Gamma(1 - s) overflows from s < -170.6 on
+            log_abs = (s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + math.lgamma(1.0 - s)
+                       + math.log(abs(sin_term) * riemann_zeta(1.0 - s)))
+            try:
+                return math.copysign(math.exp(log_abs), sin_term)
+            except OverflowError:
+                raise DomainError(f"riemann_zeta({s!r}) is outside the float range") from None
     # Direct sum with Euler-Maclaurin closure; valid for all s > -1, s != 1,
     # so it also covers the strip 0 <= s < 1 by analytic continuation.
     n_direct = 40

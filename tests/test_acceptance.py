@@ -205,13 +205,15 @@ def test_acceptance_08_epstein_continuation():
             d = ep.epstein_direct(ep.EpsteinParams(z, a), ctl).value
             c = ep.epstein2_continued(z, a[0], a[1], ctl)
             worst = max(worst, abs(d - c.value))
-    # exchange symmetry and homogeneity of the continued values
+    # exchange symmetry (the continuation at the exchanged coefficients
+    # against the direct sum) and homogeneity of the continued values
     sym = 0.0
     hom = 0.0
     for z in (1.6, 2.5):
         v = ep.epstein2_continued(z, 1.0, 4.0, ctl).value
+        direct = ep.epstein_direct(ep.EpsteinParams(z, (1.0, 4.0)), ctl).value
         sym = max(
-            sym, abs(v - ep.epstein2_continued(z, 4.0, 1.0, ctl).value) / abs(v)
+            sym, abs(ep.epstein2_continued(z, 4.0, 1.0, ctl).value - direct) / abs(direct)
         )
         lam = 3.0
         hom = max(

@@ -130,9 +130,11 @@ class TestContinuation:
         )
 
     def test_exchange_symmetry(self):
-        v12 = epstein2_continued(2.0, 1.0, 2.0, CTL).value
+        # E(z; a1, a2) = E(z; a2, a1): the continuation at the exchanged
+        # coefficients against the direct lattice sum, a second computation
         v21 = epstein2_continued(2.0, 2.0, 1.0, CTL).value
-        assert v12 == pytest.approx(v21, rel=1e-10)
+        v12 = epstein_direct(EpsteinParams(2.0, (1.0, 2.0)), CTL).value
+        assert v21 == pytest.approx(v12, rel=1e-10)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_homogeneity(self, lam):

@@ -25,8 +25,10 @@ from casimir_plates import (
     zero_temperature_energy,
 )
 from casimir_plates.free_energy import (
-    _conductor_series,
+    _SERIES_SCALE,
+    _ZERO_T_XI,
     _pair_profile,
+    _route,
     f_conducting_lattice,
     f_conducting_single,
     f_nontrivial,
@@ -74,6 +76,57 @@ def _mpmath_conductor_any(xi):
     if x <= 1 / (2 * mpmath.pi):
         return _mpmath_conductor(x)
     return (2 * mpmath.pi * x) ** 4 * _mpmath_conductor(1 / (4 * mpmath.pi**2 * x))
+
+
+def _mp_terms(x, route, pressure, tiny=1e-45):
+    """The kernel's terms of the conducting profile's series part, in mpmath
+    at the working precision, until a term is below ``tiny`` of the sum and
+    at least 8 terms (the default ``min_terms``) are in:
+    with r = e^(-2v), y = 2r/(1 - r) and z = 4r/(1 - r)^2, on the coth route
+    (v = n/(2x)) g: (4x^3 y/n + 2x^2 z)/n^2 and p: x z (1 + y)/n; on the
+    Poisson route (v = n c, c = 2 pi^2 x) g: (x y/n + x c z)/n^2 and p: that
+    plus x c^2 z (1 + y)/n.  Also returns the tail ratio r_1 = e^(-rate)."""
+    x = mpmath.mpf(x)
+    c = 2 * mpmath.pi**2 * x
+    rate = 1 / x if route == "coth" else 2 * c
+    r1 = mpmath.exp(-rate)
+    terms = []
+    total = 0
+    r = 1
+    n = 0
+    while True:
+        n += 1
+        r *= r1
+        y = 2 * r / (1 - r)
+        z = 4 * r / (1 - r) ** 2
+        if route == "coth":
+            t = x * z * (1 + y) / n if pressure else (4 * x**3 * y / n + 2 * x**2 * z) / n**2
+        else:
+            t = (x * y / n + x * c * z) / n**2
+            if pressure:
+                t += x * c**2 * z * (1 + y) / n
+        terms.append(t)
+        total += t
+        if t < tiny * total and n >= 8:
+            return terms, r1
+
+
+def _mp_profile(x, pressure):
+    """g(x) (pressure: p(x) = 3 g - x g') of the conducting pair in mpmath,
+    from the closed-form monomials and the kernel's series on whichever
+    route converges faster at x."""
+    x = mpmath.mpf(x)
+    pi2, z3 = mpmath.pi**2, mpmath.zeta(3)
+    if x < 1 / (2 * mpmath.pi):
+        mono = -pi2 / 240 if pressure else -pi2 / 720 - pi2 * z3 * x**3 / 2
+        scale = pi2 / 4 if pressure else -pi2 / 8
+        route = "coth"
+    else:
+        p6 = mpmath.pi**6 * x**4 / 45
+        mono = p6 - z3 * x / 4 if pressure else -p6 - z3 * x / 8
+        scale = mpmath.mpf(-0.25) if pressure else mpmath.mpf(-0.125)
+        route = "poisson"
+    return mono + scale * mpmath.fsum(_mp_terms(x, route, pressure)[0])
 
 
 def _mpmath_f_scaled(xi, prec=40):
@@ -176,6 +229,19 @@ class TestRepresentationEquivalence:
             ref = free_energy_mode_integral(sys, t).value
             got = evaluate_free_energy(sys, t, TIGHT, "auto").value
             assert got == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("xi, max_terms", [(1e5, 10**6), (1e300, 10**6), (10.0, 100)])
+    def test_mode_integral_refuses_at_once(self, monkeypatch, xi, max_terms):
+        # where the thresholds it provably needs exceed max_terms, the mode
+        # integral raises before its first quadrature
+        from casimir_plates import free_energy as free_energy_module
+
+        def no_quadrature(y):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(free_energy_module, "_blackbody_tail_integral", no_quadrature)
+        with pytest.raises(SlowConvergenceError, match=f"within {max_terms} thresholds"):
+            free_energy_mode_integral(boyer(), ThermalPoint(xi), SeriesControl(max_terms=max_terms))
 
     def test_zero_temperature_limit(self):
         sys = boyer()
@@ -421,17 +487,32 @@ class TestConductorKernel:
     @given(st.floats(0.05, 5.0), st.sampled_from(["coth", "poisson"]), st.booleans())
     def test_term_ratio_is_at_most_the_tail_ratio(self, x, route, pressure):
         # the ratio bound that makes the tail bound q t, q = 2r/(1 - r),
-        # rigorous from the first term on; checked down to where the
-        # terms lose precision near the underflow threshold
-        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
-        r = math.exp(-rate)
-        terms, bound = _conductor_series(x, route, pressure, SeriesControl(rel_tol=1e-250))
-        assert terms[0] > 0.0
-        normal = [t for t in terms if t >= 1e-290]
-        assert all(b <= r * a for a, b in zip(normal, normal[1:]))
-        for n in range(len(normal) - 1):
-            assert math.fsum(normal[n + 1:]) <= normal[n] * r / -math.expm1(-rate)
-        assert bound == 2.0 * r / -math.expm1(-rate) * terms[-1]
+        # rigorous from the first term on, on the kernel's terms in mpmath;
+        # the bar of the kernel's sum holds that bound at its last term
+        with mpmath.workdps(30):
+            terms, r = _mp_terms(x, route, pressure, tiny=1e-45)
+            assert terms[0] > 0
+            assert all(b <= r * a for a, b in zip(terms, terms[1:]))
+            tail = mpmath.mpf(0)
+            for n in range(len(terms) - 1, 0, -1):
+                tail += terms[n]
+                assert tail <= terms[n - 1] * r / (1 - r)
+            _, _, err, n_used = _pair_profile(
+                PlateKind.CONDUCTOR_CONDUCTOR, x, route, pressure, SeriesControl(rel_tol=1e-30))
+            q = 2 * r / (1 - r)
+            assert err >= abs(_SERIES_SCALE[route][pressure]) * q * terms[n_used - 1]
+
+    @staticmethod
+    def _stop_index(terms, r, tol_at):
+        # the first n (counted from 1) whose proven tail bound q t_n is at
+        # most tol_at(n) times the partial sum, on the mpmath terms
+        q = 2 * r / (1 - r)
+        partial = mpmath.mpf(0)
+        for n, t in enumerate(terms, 1):
+            partial += t
+            if q * t <= tol_at(n) * partial:
+                return n, q * t / partial
+        raise AssertionError("the mpmath terms ran out before the stop")
 
     @pytest.mark.parametrize("route", ["coth", "poisson"])
     @pytest.mark.parametrize("pressure", [False, True])
@@ -439,23 +520,18 @@ class TestConductorKernel:
     def test_stop_rule(self, route, pressure, x):
         # below the min_terms floor a sum stops once its proven tail bound
         # is below half an ulp of the partial sum; from the floor on, at
-        # rel_tol, which is where the floor-first rule stopped too
-        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
-        q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+        # rel_tol, which is where the floor-first rule stopped too: the
+        # kernel's term count is the stop index of its terms in mpmath
         ctl = SeriesControl()
         eps = 2.0**-52
-        terms, bound = _conductor_series(x, route, pressure, ctl)
-        partial = [math.fsum(terms[: n + 1]) for n in range(len(terms))]
-
-        def stops(n, tol):  # n counts from 0
-            return q * terms[n] <= tol * partial[n]
-
-        n_stop = len(terms) - 1
-        tol_at = [ctl.rel_tol if n + 1 >= ctl.min_terms else min(ctl.rel_tol, eps / 2)
-                  for n in range(len(terms))]
-        assert stops(n_stop, tol_at[n_stop])
-        assert not any(stops(n, tol_at[n]) for n in range(n_stop))
-        assert bound <= ctl.rel_tol * partial[-1]
+        with mpmath.workdps(30):
+            terms, r = _mp_terms(x, route, pressure, tiny=1e-40)
+            n_stop, rel_bound = self._stop_index(
+                terms, r,
+                lambda n: ctl.rel_tol if n >= ctl.min_terms else min(ctl.rel_tol, eps / 2))
+        n_used = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, x, route, pressure, ctl)[3]
+        assert n_used == n_stop
+        assert rel_bound <= ctl.rel_tol
 
     @pytest.mark.parametrize("route", ["coth", "poisson"])
     @pytest.mark.parametrize("pressure", [False, True])
@@ -464,28 +540,46 @@ class TestConductorKernel:
         # below eps/2 the requested tolerance applies from the first term:
         # a sum never stops before its proven tail is below 1e-17 of it,
         # stops where the floor-first rule did wherever that rule ran past
-        # the floor, and returns the same double wherever it stops sooner
-        rate = 1.0 / x if route == "coth" else 4.0 * math.pi**2 * x
-        q = 2.0 * math.exp(-rate) / -math.expm1(-rate)
+        # the floor, and its value is within its bar of the full sum
         tight = SeriesControl(rel_tol=1e-17)
-        terms, bound = _conductor_series(x, route, pressure, tight)
-        partial = [math.fsum(terms[: n + 1]) for n in range(len(terms))]
-        assert bound <= 1e-17 * partial[-1]
-        assert not any(q * terms[n] <= 1e-17 * partial[n] for n in range(len(terms) - 1))
-        # the floor-first rule on a longer run of the same terms; any term
-        # past its end is below 1e-300 of the sum
-        longer, _ = _conductor_series(x, route, pressure, SeriesControl(rel_tol=1e-300))
-        floor_n = next((n + 1 for n in range(tight.min_terms - 1, len(longer))
-                        if q * longer[n] <= 1e-17 * math.fsum(longer[: n + 1])), tight.min_terms)
-        assert len(terms) <= floor_n
-        if floor_n > tight.min_terms:
-            assert len(terms) == floor_n
-        floor_sum = math.fsum(longer[:floor_n])
-        assert abs(partial[-1] - floor_sum) <= math.ulp(floor_sum)
+        kind = PlateKind.CONDUCTOR_CONDUCTOR
+        with mpmath.workdps(40):
+            terms, r = _mp_terms(x, route, pressure, tiny=1e-40)
+            n_stop, _ = self._stop_index(terms, r, lambda n: 1e-17)
+            floor_n = max(tight.min_terms, self._stop_index(
+                terms, r, lambda n: 1e-17 if n >= tight.min_terms else 0)[0])
+            _, s_part, err, n_used = _pair_profile(kind, x, route, pressure, tight)
+            assert n_used == n_stop
+            assert n_used <= floor_n
+            if floor_n > tight.min_terms:
+                assert n_used == floor_n
+            full = _SERIES_SCALE[route][pressure] * mpmath.fsum(terms)
+            assert abs(s_part - full) <= err
 
     def test_max_terms_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError, match="conductor coth series"):
-            _conductor_series(5.0, "coth", False, SeriesControl(max_terms=20, min_terms=8))
+            _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, 5.0, "coth", False,
+                          SeriesControl(max_terms=20, min_terms=8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(math.log(1e-3), math.log(30.0)).map(math.exp),
+        st.sampled_from(["coth", "poisson"]),
+        st.booleans(),
+        st.sampled_from([PlateKind.BOYER_MIXED, PlateKind.CONDUCTOR_CONDUCTOR]),
+        st.sampled_from([1e-12, 1e-16]),
+    )
+    def test_explicit_route_bars_bound_true_error(self, x, route, pressure, kind, rel_tol):
+        # each route of the kernel away from its regime, where a half runs
+        # to hundreds of terms and its rounding allowance grows with them:
+        # the bar still bounds the error, no slack
+        r = _pair_profile(kind, x, route, pressure, SeriesControl(rel_tol=rel_tol))
+        with mpmath.workdps(40):
+            if kind is PlateKind.BOYER_MIXED:
+                ref = _mp_profile(2 * x, pressure) / 8 - _mp_profile(x, pressure)
+            else:
+                ref = _mp_profile(x, pressure)
+            assert abs(mpmath.mpf(r[0]) - ref) <= r[2]
 
     def test_routed_term_counts(self):
         # pinned below the min_terms floor of 8 per sum, which the kernel's
@@ -499,6 +593,20 @@ class TestConductorKernel:
         split = 1.0 / (2.0 * math.pi)
         assert free_energy_auto(boyer(), math.nextafter(split, 0.0)).rep == "coth"
         assert free_energy_auto(boyer(), split).rep == "poisson"
+
+    def test_zero_t_threshold_is_where_the_thermal_factor_underflows(self):
+        # the router's precomputed threshold gives every xi the route the
+        # test exp(-1/(2 xi)) == 0 gave it, here on 2000 floats either side
+        # of the threshold, and the routed entry points route as _route does
+        below = above = _ZERO_T_XI
+        for _ in range(2000):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            for xi in (below, above):
+                zero_t = math.exp(-0.5 / xi) == 0.0
+                assert (_route(xi) == "zero-T") == zero_t
+                assert (free_energy_auto(boyer(), xi).rep == "zero-T") == zero_t
+                assert (pressure_auto(1.0, xi).rep == "zero-T") == zero_t
+        assert math.exp(-0.5 / _ZERO_T_XI) == 0.0
 
     def test_poisson_for_conductor(self):
         t = ThermalPoint(0.5)

@@ -334,25 +334,39 @@ class TestInPathCheck:
         routes = ("coth", "poisson") if xi >= 0.05 else ("coth",)
         assert max(_thermodynamic_residual(xi, route) for route in routes) <= 1e-6
 
-    @pytest.mark.parametrize("op, xi, calls", [
+    @pytest.mark.parametrize("op, xi, halves", [
         ("pressure", 0.1, 2), ("pressure", 0.5, 2), ("pressure", 0.0, 0), ("pressure", 1e-4, 0),
         ("boyer", 0.1, 2), ("boyer", 0.5, 2), ("boyer", 0.0, 0), ("boyer", 1e-4, 0),
         ("conductor", 0.1, 1), ("conductor", 0.5, 1), ("conductor", 0.0, 0), ("conductor", 1e-4, 0),
     ])
-    def test_routed_op_sums_only_its_halves(self, monkeypatch, op, xi, calls):
-        # one kernel sum per half of the plate pair and no other: no
-        # self-check runs on the hot path
-        real = free_energy_module._conductor_series
-        count = 0
+    def test_routed_op_sums_only_its_halves(self, monkeypatch, op, xi, halves):
+        # one kernel pass per op, over the halves of its plate pair and no
+        # other sum: no self-check runs on the hot path.  The pass takes one
+        # exponential for all its halves, and none on the zero-T route
+        real = free_energy_module._pair_profile
+        passes = []
+        exps = 0
 
         def counting(*args):
-            nonlocal count
-            count += 1
+            passes.append(args)
             return real(*args)
 
-        monkeypatch.setattr(free_energy_module, "_conductor_series", counting)
+        def counted(fn):
+            def wrapped(x):
+                nonlocal exps
+                exps += 1
+                return fn(x)
+            return wrapped
+
+        monkeypatch.setattr(free_energy_module, "_pair_profile", counting)
+        monkeypatch.setattr(pressure_module, "_pair_profile", counting)
+        monkeypatch.setattr(math, "exp", counted(math.exp))
+        monkeypatch.setattr(math, "expm1", counted(math.expm1))
         if op == "pressure":
             pressure_auto(1.0, xi)
         else:
             free_energy_auto(PlateSystem(1.0, op), xi)
-        assert count == calls
+        assert len(passes) == 1
+        kind, _, route, pressure = passes[0][:4]
+        assert len(free_energy_module._PLANS[kind][route][pressure][1]) == halves
+        assert exps == (1 if halves else 0)

@@ -44,6 +44,26 @@ class TestRiemannZeta:
         ref = float(mpmath.zeta(s))
         assert riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, -150.0))
+    def test_far_negative_against_mpmath(self, s):
+        # the reflection's product in log space where Gamma(1 - s) alone
+        # overflows (s < -170.6): finite down to about s = -260, then a
+        # DomainError.  Near a trivial zero the rounding of pi s/2 moves
+        # sin by up to |s| eps, a relative error of about |s| eps |cot|.
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(s)
+            cot = abs(mpmath.cot(mpmath.pi * s / 2)) if ref else 0
+        if abs(ref) > 1.8e308:
+            with pytest.raises(DomainError):
+                riemann_zeta(s)
+            return
+        if abs(ref) > 1.79e308:  # within the rounding of the float limit
+            return
+        got = riemann_zeta(s)
+        tol = 1e-12 + 8.0 * abs(s) * 2.0**-52 * float(cot)
+        assert abs(got - ref) <= tol * abs(ref) or abs(got - ref) <= 1e-300
+
     def test_trivial_zeros(self):
         assert riemann_zeta(-2.0) == pytest.approx(0.0, abs=1e-14)
 

@@ -1,5 +1,6 @@
-"""Every public callable of the validation layer is total: at any argument
-it returns a finite value or raises a CasimirError, never another
+"""Every public callable of the package's numeric modules (the validation
+layer, the representations and the routed entry points) is total: at any
+argument it returns a finite value or raises a CasimirError, never another
 exception, inf or nan."""
 
 import math
@@ -9,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plates import epstein, specfun, symmetry
+from casimir_plates import free_energy as fe
+from casimir_plates import pressure as pr
 from casimir_plates.errors import CasimirError, DomainError
-from casimir_plates.free_energy import f_conducting_single
+from casimir_plates.free_energy import (
+    PlateKind,
+    PlateSystem,
+    RepresentationKind,
+    ThermalPoint,
+    f_conducting_single,
+)
 from casimir_plates.specfun import EvalResult, SeriesControl
 
 # a small budget: the property asks only how a call ends, and a sum that
@@ -25,6 +34,20 @@ X = st.one_of(
 )
 # a slot that takes an integer draws small integers as well
 N = st.one_of(X, st.integers(0, 10**4))
+KIND = st.sampled_from([k.value for k in PlateKind])
+REP = st.sampled_from(["auto", *(r.value for r in RepresentationKind)])
+# each mode-integral threshold costs two quadratures
+MODE_CTL = SeriesControl(max_terms=100)
+
+
+def _pair_call(fn, *ctl):
+    """fn at the plate pair of separation d and kind, and the point xi."""
+    return lambda d, kind, xi: fn(PlateSystem(d, kind), ThermalPoint(xi), *ctl)
+
+
+def _pressure_call(fn, *ctl):
+    return lambda xi, d: fn(ThermalPoint(xi), d, *ctl)
+
 
 # each public callable as (call, strategies of its positional arguments);
 # the calls that take a SeriesControl get CTL
@@ -57,10 +80,41 @@ CASES = {
     "identity_plain": (lambda b: symmetry.identity_plain(b, CTL), (X,)),
     "sb_to_casimir": (symmetry.sb_to_casimir, ()),
     "low_T_from_high_T": (symmetry.low_T_from_high_T, (X,)),
+    "PlateKind": (PlateKind, (KIND,)),
+    "PlateSystem": (PlateSystem, (X, KIND)),
+    "ThermalPoint": (ThermalPoint, (X,)),
+    "RepresentationKind": (RepresentationKind, (REP.filter(lambda r: r != "auto"),)),
+    "zero_temperature_energy": (
+        lambda d, kind: fe.zero_temperature_energy(PlateSystem(d, kind)), (X, KIND)),
+    "f_scaled_double": (lambda xi: fe.f_scaled_double(xi, CTL), (X,)),
+    "free_energy_poisson": (_pair_call(fe.free_energy_poisson, CTL), (X, KIND, X)),
+    "free_energy_lattice": (_pair_call(fe.free_energy_lattice, CTL), (X, KIND, X)),
+    "free_energy_mode_integral": (
+        _pair_call(fe.free_energy_mode_integral, MODE_CTL), (X, KIND, X)),
+    "free_energy_low_T": (_pair_call(fe.free_energy_low_T), (X, KIND, X)),
+    "free_energy_high_T": (_pair_call(fe.free_energy_high_T), (X, KIND, X)),
+    "f_nontrivial": (lambda xi: fe.f_nontrivial(xi, CTL), (X,)),
+    "f_conducting_lattice": (lambda xi: fe.f_conducting_lattice(xi, CTL), (X,)),
+    "f_conducting_single": (lambda xi: fe.f_conducting_single(xi, CTL), (X,)),
+    "evaluate_free_energy": (
+        lambda d, kind, xi, rep: fe.evaluate_free_energy(
+            PlateSystem(d, kind), ThermalPoint(xi), MODE_CTL if rep == "mode-integral" else CTL,
+            rep),
+        (X, KIND, X, REP)),
+    # the routed entry points take xi as it comes: 0 is their zero-T limit
+    "free_energy_auto": (
+        lambda d, kind, xi: fe.free_energy_auto(PlateSystem(d, kind), xi, CTL), (X, KIND, X)),
+    "pressure_zero_T": (lambda d, kind: pr.pressure_zero_T(PlateSystem(d, kind)), (X, KIND)),
+    "pressure_net_dfdxi": (_pressure_call(pr.pressure_net_dfdxi, CTL), (X, X)),
+    "pressure_thermal_log": (_pressure_call(pr.pressure_thermal_log, CTL), (X, X)),
+    "pressure_poisson": (_pressure_call(pr.pressure_poisson, CTL), (X, X)),
+    "pressure_high_T": (_pressure_call(pr.pressure_high_T), (X, X)),
+    "pressure_auto": (lambda d, xi: pr.pressure_auto(d, xi, CTL), (X, X)),
 }
 # record types hold what they are given once their own checks pass: of
 # them the property asks only that they construct or raise a CasimirError
-RECORDS = {"SeriesControl", "EvalResult", "EpsteinParams", "SplitFreeEnergies"}
+RECORDS = {"SeriesControl", "EvalResult", "EpsteinParams", "SplitFreeEnergies",
+           "PlateKind", "PlateSystem", "ThermalPoint", "RepresentationKind"}
 
 
 def _finite(r) -> bool:
@@ -76,7 +130,7 @@ def _finite(r) -> bool:
 def test_every_public_callable_has_a_case():
     public = {
         name
-        for module in (specfun, epstein, symmetry)
+        for module in (specfun, epstein, symmetry, fe, pr)
         for name in module.__all__
         if callable(getattr(module, name))
     }

@@ -16,7 +16,11 @@ about a millisecond, at every 20th.  It also runs seeded ``casimir eval``
 and ``sweep`` commands with ``--rep auto`` (given ``--xi`` or ``--beta``)
 and seeded evals with an explicit ``--rep`` of ``coth``, ``poisson``,
 ``double``, ``bessel``, ``low`` or ``high``, in-process, and records their
-exit code, stdout and CSV bytes.  Exits 1 on the first difference.
+exit code, stdout and CSV bytes.  Reports every difference (the first 20
+in full) with a summary: how many routed outcomes moved in value or bar
+alone, the worst |value_a - value_b|/(bar_a + bar_b) among them, how many
+differ in terms_used, rep or error, and how many CLI exit codes differ.
+Exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -126,6 +130,16 @@ def _run_tree(tree: str, points: int, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def _routed_move(x, y) -> float | None:
+    """|value_a - value_b| / (bar_a + bar_b) of two routed outcomes that
+    differ only in value and bar, else None (anything else differs)."""
+    if not (isinstance(x, list) and isinstance(y, list) and x[0] != "error" != y[0]
+            and x[2:] == y[2:]):
+        return None
+    va, ea, vb, eb = (float.fromhex(h) for h in (*x[:2], *y[:2]))
+    return abs(va - vb) / (ea + eb) if ea + eb > 0.0 else math.inf
+
+
 def main(argv) -> int:
     if argv[:1] == ["--emit"]:
         print(json.dumps(emit(int(argv[1]), int(argv[2]))))
@@ -137,25 +151,49 @@ def main(argv) -> int:
     a, b = _run_tree(here, points, seed), _run_tree(other, points, seed)
     assert a["points"] == b["points"]
     names = ("free_energy_auto boyer", "free_energy_auto conductor", "pressure_auto")
+    diffs = 0
+    moved = []  # routed outcomes whose value or bar alone moved
+    shown = 0
+
+    def report(line):
+        nonlocal diffs, shown
+        diffs += 1
+        if shown < 20:
+            shown += 1
+            print(line)
+
     for (d, xi), ra, rb in zip(a["points"], a["rows"], b["rows"]):
         for name, x, y in zip(names, ra, rb):
             if x != y:
-                print(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
-                return 1
+                move = _routed_move(x, y)
+                if move is not None:
+                    moved.append(move)
+                report(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
     for (d, xi), ra, rb in zip(a["points"], a["sym"], b["sym"]):
         for name, x, y in zip(SYMMETRY, ra, rb):
             if x != y:
-                print(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
-                return 1
+                report(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
+    exit_codes = 0
     for i, (x, y) in enumerate(zip(a["cli"], b["cli"])):
         if x != y:
-            print(f"DIFF cli command {i}: {x[:2]} != {y[:2]}")
-            return 1
+            exit_codes += x[0] != y[0]
+            report(f"DIFF cli command {i}: {x[:2]} != {y[:2]}")
     n = len(a["rows"])
     n_sym = sum(x is not None for row in a["sym"] for x in row)
-    print(f"identical: {n} points x {len(names)} routed functions = {n * len(names)} "
+    print(f"compared: {n} points x {len(names)} routed functions = {n * len(names)} "
           f"outcomes, {n_sym} symmetry outcomes, {len(a['cli'])} CLI commands")
-    return 0
+    if not diffs:
+        print("identical")
+        return 0
+    other_routed = sum(x != y for ra, rb in zip(a["rows"], b["rows"])
+                       for x, y in zip(ra, rb)) - len(moved)
+    values = sum(float.fromhex(x[0]) != float.fromhex(y[0]) for ra, rb in zip(a["rows"], b["rows"])
+                 for x, y in zip(ra, rb) if _routed_move(x, y) is not None)
+    print(f"{diffs} differences ({shown} shown); routed: {len(moved)} differ in value or bar "
+          f"alone ({values} in value), worst |dvalue|/(bar_a + bar_b) "
+          f"{max(moved, default=0.0):.3g}; {other_routed} differ in terms_used, rep or error; "
+          f"CLI exit codes differ in {exit_codes} commands")
+    return 1
 
 
 if __name__ == "__main__":
