@@ -12,12 +12,10 @@ import sys as _sys
 
 from .errors import CasimirError
 from .free_energy import (
-    PlateKind,
     PlateSystem,
     RepresentationKind,
-    ThermalPoint,
+    _evaluator,
     _route,
-    evaluate_free_energy,
     free_energy_auto,
     zero_temperature_energy,
 )
@@ -88,20 +86,22 @@ def _ctl(args) -> SeriesControl:
     return SeriesControl(rel_tol=args.tol, max_terms=args.max_terms)
 
 
+def _served(quantity: str, rep: str, kind, xi: float):
+    """The evaluator of a CLI quantity from the package's table (f_scaled and
+    p_scaled are its free energy and pressure), or its refusal.  At a zero-T
+    xi, where every thermal part is 0, each free-energy rep is the routed one."""
+    quantity = "pressure" if quantity in ("pressure", "p_scaled") else "free_energy"
+    if quantity == "free_energy" and rep != "auto" and _route(xi) == "zero-T":
+        rep = "auto"
+    return _evaluator(quantity, rep, kind)
+
+
 def _point_quantity(quantity: str, system: str, rep: str, xi: float, d: float, ctl) -> EvalResult:
     sys_ = PlateSystem(d, system)  # validates d
     if quantity in ("f_scaled", "p_scaled"):
         # d^3 F and d^4 P depend on xi alone: evaluate them at d = 1
         sys_ = PlateSystem(1.0, system)
-    if quantity in ("free_energy", "f_scaled"):
-        if rep == "auto" or _route(xi) == "zero-T":
-            return free_energy_auto(sys_, xi, ctl)
-        return evaluate_free_energy(sys_, ThermalPoint.from_xi(xi, d), ctl, rep)
-    if sys_.kind is not PlateKind.BOYER_MIXED:
-        raise CasimirError("pressure is provided for the boyer system only")
-    if rep != "auto":
-        raise CasimirError("pressure evaluation is routed; use --rep auto")
-    return pressure_auto(sys_.d, xi, ctl)
+    return _served(quantity, rep, sys_.kind, xi)(sys_, xi, ctl)
 
 
 def _resolve_xi(args) -> float:

@@ -46,7 +46,6 @@ __all__ = [
     "RepresentationKind",
     "zero_temperature_energy",
     "f_scaled_double",
-    "free_energy_poisson",
     "free_energy_lattice",
     "free_energy_mode_integral",
     "free_energy_low_T",
@@ -63,6 +62,10 @@ class PlateKind(enum.Enum):
     BOYER_MIXED = "boyer"
     CONDUCTOR_CONDUCTOR = "conductor"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"{value!r} is not a valid PlateKind")
+
     # members are singletons compared by identity, so the identity hash is
     # consistent with equality; Enum's own hashes the name in Python code,
     # on every lookup of the hot path's tables keyed by the kind
@@ -70,7 +73,7 @@ class PlateKind(enum.Enum):
 
 
 def _require_separation(d: float):
-    if not (d > 0.0 and math.isfinite(d)):
+    if not 0.0 < d <= _MAX:
         raise DomainError(f"plate separation d must be finite and positive, got {d!r}")
 
 
@@ -80,7 +83,7 @@ class PlateSystem(_record("PlateSystem", "d kind")):
     __slots__ = ()
 
     def __new__(cls, d: float, kind: PlateKind | str = PlateKind.BOYER_MIXED):
-        if not 0.0 < d < _INF:
+        if not 0.0 < d <= _MAX:
             _require_separation(d)
         if not isinstance(kind, PlateKind):
             kind = PlateKind(kind)
@@ -97,7 +100,7 @@ class ThermalPoint(_record("ThermalPoint", "xi")):
     __slots__ = ()
 
     def __new__(cls, xi: float):
-        if not (xi > 0.0 and math.isfinite(xi)):
+        if not 0.0 < xi <= _MAX:
             raise DomainError(f"xi must be finite and positive, got {xi!r}")
         return tuple.__new__(cls, (xi,))
 
@@ -107,7 +110,7 @@ class ThermalPoint(_record("ThermalPoint", "xi")):
 
     @classmethod
     def from_beta(cls, beta: float, d: float) -> "ThermalPoint":
-        if not (beta > 0.0 and math.isfinite(beta)):
+        if not 0.0 < beta <= _MAX:
             raise DomainError(f"beta must be finite and positive, got {beta!r}")
         return cls(d / (math.pi * beta))
 
@@ -127,6 +130,10 @@ class RepresentationKind(str, enum.Enum):
     ASYMPTOTIC_LOW = "low"
     ASYMPTOTIC_HIGH = "high"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise UnsupportedRepresentationError(f"{value!r} is not a valid RepresentationKind")
+
 
 # test hook used by `casimir verify --tamper bessel-sign`: the sign of the
 # double-sum engine's thermal part; never set in normal operation
@@ -135,9 +142,12 @@ _BESSEL_THERMAL_SIGN = 1.0
 # the self-dual point of the conductors' temperature inversion, where the
 # coth tail ratio e^(-1/xi) equals the Poisson one e^(-4 pi^2 xi)
 _COTH_POISSON_SPLIT = 1.0 / (2.0 * math.pi)
-_POISSON_XI_FLOOR = 0.05  # both Poisson forms converge too slowly below this xi
+_POISSON_XI_FLOOR = 0.05  # _pair refuses the Poisson route below this xi: too slow there
 _EPS = _sys.float_info.epsilon
 _INF = math.inf
+# the largest finite float: a bound x <= _MAX, unlike x < inf, also refuses
+# an integer past the float range, at the same cost for a float
+_MAX = _sys.float_info.max
 # the largest xi with exp(-1/(2 xi)) == 0.0, bisected between exp(-833) = 0 and exp(-714) > 0
 _ZERO_T_XI, _hi = 6e-4, 7e-4
 while _ZERO_T_XI < (_mid := 0.5 * (_ZERO_T_XI + _hi)) < _hi:
@@ -153,7 +163,7 @@ def _route(xi: float) -> str:
     each thermal correction carries that factor, and beta = d/(pi xi) may
     not even be representable.
     """
-    if not (xi >= 0.0 and math.isfinite(xi)):
+    if not 0.0 <= xi <= _MAX:
         raise DomainError(f"xi must be finite and nonnegative, got {xi!r}")
     if xi <= _ZERO_T_XI:
         return "zero-T"
@@ -336,7 +346,13 @@ def _per_area(value: float, err: float, d: float, power: int):
 
 
 def _pair(sys: PlateSystem, xi: float, route: str, ctl, pressure=False, rep=None) -> EvalResult:
-    """F/L^2 (pressure: P) of the plate pair on one route of the kernel, as ``rep``."""
+    """F/L^2 (pressure: P) of the plate pair on one route of the kernel, as
+    ``rep``; the Poisson route below xi = 0.05 is the package's one floor."""
+    if route == "poisson" and xi < _POISSON_XI_FLOOR:
+        raise SlowConvergenceError(
+            f"the poisson representation converges too slowly below xi={_POISSON_XI_FLOOR}; "
+            "use the coth series"
+        )
     value, _, err, terms = _pair_profile(sys.kind, xi, route, pressure, ctl)
     value, err = _per_area(value, err, sys.d, 4 if pressure else 3)
     return EvalResult(value, err, terms, rep or route)
@@ -357,8 +373,8 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     accurate as the ratios near 1; where e^(-1/(2 xi)) rounds to 1 the
     terms are not resolved at all, and that is a DomainError.
     """
-    if not xi > 0.0:
-        raise DomainError("f_scaled_double requires xi > 0")
+    if not 0.0 < xi <= _MAX:
+        raise DomainError(f"f_scaled_double requires finite xi > 0, got {xi!r}")
     if math.exp(-0.5 / xi) == 1.0:
         raise DomainError(
             f"the double sum's decay ratio exp(-1/(2 xi)) rounds to 1 at xi={xi!r}, "
@@ -412,22 +428,6 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     return EvalResult(value, row_tail + m_tails + _EPS * (rounding + abs(value)), nterms, "double")
 
 
-def free_energy_poisson(
-    sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
-) -> EvalResult:
-    """F/L^2 from the Poisson-resummed (high-temperature friendly) form.
-
-    Below xi = 0.05 convergence degrades; callers are redirected to the
-    coth/double forms.
-    """
-    if t.xi < _POISSON_XI_FLOOR:
-        raise SlowConvergenceError(
-            f"poisson representation converges slowly for xi < {_POISSON_XI_FLOOR}; "
-            "use the coth or double representation"
-        )
-    return _pair(sys, t.xi, "poisson", ctl)
-
-
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Non-trivial (neither zero-T nor Stefan-Boltzmann) part of the
     conducting-plate scaled free energy, as a positive-quadrant lattice sum.
@@ -442,11 +442,11 @@ def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     from . import epstein
 
     ctl = ctl or _DEFAULT_CTL
-    w = 2.0 * math.pi * xi
     value = err = math.inf
     try:
         # a float overflow in the lattice coefficient, the Epstein sum or
         # its scaling ends below as a DomainError naming xi
+        w = 2.0 * math.pi * xi
         if math.isfinite(w * w):
             r = epstein.epstein_direct(epstein.EpsteinParams(2.0, (1.0, w * w)), ctl)
             q = w**4 / (4.0 * math.pi**2)
@@ -480,7 +480,7 @@ def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResu
     Same quantity as :func:`f_conducting_lattice`, through the kernel's coth
     series, which converges exponentially at any xi.
     """
-    if not (xi > 0.0 and math.isfinite(xi)):
+    if not 0.0 < xi <= _MAX:
         raise DomainError(f"f_conducting_single requires finite xi > 0, got {xi!r}")
     value, _, err, terms = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, xi, "coth", False, ctl)
     return EvalResult(value, err, terms, "coth")
@@ -631,48 +631,30 @@ def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
     return _per_area(_asymptotic_profile(sys.kind, t.xi, True), 0.0, sys.d, 3)[0]
 
 
+def _double(sys: PlateSystem, xi: float, ctl: SeriesControl | None) -> EvalResult:
+    """F/L^2 of the Boyer pair, d^3 F = d^3 E_0 - pi^2 xi^3 f(xi), f the double sum."""
+    f, q = f_scaled_double(xi, ctl), math.pi**2 * xi**3
+    g0 = _pair_profile(sys.kind, 0.0, "zero-T", False)[0]
+    value = g0 - _BESSEL_THERMAL_SIGN * q * f.value
+    # f's bar, then the rounding of q f and g0, of their difference and
+    # of the d^-3 scaling, as in _pair_profile
+    err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
+    return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
+
+
 def evaluate_free_energy(
     sys: PlateSystem,
     t: ThermalPoint,
     ctl: SeriesControl | None = None,
     rep: RepresentationKind | str = "auto",
 ) -> EvalResult:
-    """Evaluate F/L^2 in the requested representation ('auto' routes).
+    """Evaluate F/L^2 in the requested representation ('auto' routes), as
+    the row ('free_energy', rep) of :data:`_SERVED` gives it.
 
     ``bessel`` is an alias of ``double``: the Macdonald-function sum is the
     double sum term for term, so both run the one double-sum engine.
     """
-    if rep == "auto":
-        return free_energy_auto(sys, t.xi, ctl)
-    ctl = ctl or _DEFAULT_CTL
-    rep = RepresentationKind(rep)
-    if rep is RepresentationKind.ASYMPTOTIC_LOW:
-        return EvalResult(free_energy_low_T(sys, t), 0.0, 0, "low")
-    if rep is RepresentationKind.ASYMPTOTIC_HIGH:
-        return EvalResult(free_energy_high_T(sys, t), 0.0, 0, "high")
-    if rep is RepresentationKind.COTH_SINGLE:
-        return _pair(sys, t.xi, "coth", ctl)
-    if rep is RepresentationKind.POISSON:
-        return free_energy_poisson(sys, t, ctl)
-    if rep is RepresentationKind.LATTICE:
-        return free_energy_lattice(sys, t, ctl)
-    if sys.kind is PlateKind.CONDUCTOR_CONDUCTOR:
-        raise UnsupportedRepresentationError(
-            f"representation '{rep.value}' is not available for "
-            "conductor-conductor plates"
-        )
-    if rep in (RepresentationKind.DOUBLE_SUM, RepresentationKind.BESSEL):
-        # d^3 F = d^3 E_0 - pi^2 xi^3 f(xi), i.e. F = E_0 - f/(pi beta^3)
-        f, q = f_scaled_double(t.xi, ctl), math.pi**2 * t.xi**3
-        g0 = _pair_profile(sys.kind, 0.0, "zero-T", False)[0]
-        value = g0 - _BESSEL_THERMAL_SIGN * q * f.value
-        # f's bar, then the rounding of q f and g0, of their difference and
-        # of the d^-3 scaling, as in _pair_profile
-        err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
-        return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
-    if rep is RepresentationKind.MODE_INTEGRAL:
-        return free_energy_mode_integral(sys, t, ctl)
-    raise UnsupportedRepresentationError(f"unknown representation {rep!r}")
+    return _evaluator("free_energy", rep, sys.kind)(sys, t.xi, ctl)
 
 
 def free_energy_auto(
@@ -692,3 +674,42 @@ def free_energy_auto(
     if not (-_INF < value < _INF and err < _INF):
         raise DomainError(f"the result at d={d!r} is outside the floating-point range")
     return tuple.__new__(EvalResult, (value, err, terms, route))
+
+
+_BOTH = frozenset(PlateKind)
+_BOYER = frozenset((PlateKind.BOYER_MIXED,))
+# The one table of what the package serves: each (quantity, representation)
+# row is (evaluator(sys, xi, ctl) -> EvalResult, the plate kinds it serves),
+# and a missing row or kind is the refusal (_evaluator).  pressure.py, which
+# builds on this module, adds the pressure row: routed, and Boyer only.
+_SERVED = {
+    ("free_energy", "auto"): (free_energy_auto, _BOTH),
+    ("free_energy", "coth"): (lambda sys, xi, ctl: _pair(sys, xi, "coth", ctl), _BOTH),
+    ("free_energy", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl), _BOTH),
+    ("free_energy", "lattice"): (
+        lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
+    ("free_energy", "low"): (
+        lambda sys, xi, ctl: EvalResult(free_energy_low_T(sys, ThermalPoint(xi)), 0.0, 0, "low"),
+        _BOTH),
+    ("free_energy", "high"): (
+        lambda sys, xi, ctl: EvalResult(free_energy_high_T(sys, ThermalPoint(xi)), 0.0, 0, "high"),
+        _BOTH),
+    ("free_energy", "double"): (_double, _BOYER),
+    ("free_energy", "bessel"): (_double, _BOYER),
+    ("free_energy", "mode-integral"): (
+        lambda sys, xi, ctl: free_energy_mode_integral(sys, ThermalPoint(xi), ctl), _BOYER),
+}
+
+
+def _evaluator(quantity: str, rep: RepresentationKind | str, kind: PlateKind):
+    """The evaluator of ``quantity`` in ``rep`` for the pair ``kind`` from
+    :data:`_SERVED`, or an UnsupportedRepresentationError naming all three."""
+    try:
+        evaluator, kinds = _SERVED[quantity, rep]
+    except (KeyError, TypeError):  # no row, or a key that cannot be one
+        evaluator, kinds = None, ()
+    if kind not in kinds:
+        rep = getattr(rep, "value", rep)  # a RepresentationKind as its string
+        raise UnsupportedRepresentationError(
+            f"{quantity} in representation '{rep}' is not served for the {kind.value} pair")
+    return evaluator

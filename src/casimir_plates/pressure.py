@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, SlowConvergenceError
+from .errors import DomainError
 from .free_energy import (
+    _BOYER,
     _COTH_POISSON_SPLIT,
     _EPS,
     _INF,
-    _POISSON_XI_FLOOR,
+    _MAX,
+    _SERVED,
     _ZERO_T_XI,
     PlateKind,
     PlateSystem,
@@ -49,7 +51,7 @@ __all__ = [
 def pressure_zero_T(sys: PlateSystem) -> float:
     """Zero-temperature net pressure, +(7/8) pi^2/(240 d^4)."""
     _require_boyer(sys, "pressure")
-    return _pressure(sys.d, 0.0, "zero-T", None, "zero-T").value
+    return _pair(sys, 0.0, "zero-T", None, True).value
 
 
 def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = None) -> float:
@@ -80,16 +82,12 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
     return abs(analytic - fd) / scale
 
 
-def _pressure(d: float, xi: float, route: str, ctl: SeriesControl | None, rep: str) -> EvalResult:
-    return _pair(PlateSystem(d), xi, route, ctl, True, rep)
-
-
 def pressure_net_dfdxi(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
     """Net pressure from the kernel's coth series, the xi-derivative form:
     d^4 P = p(2 xi)/8 - p(xi), p = -pi^2/240 + (pi^2 x/4) sum coth csch^2/n."""
-    return _pressure(d, t.xi, "coth", ctl, "dfdxi")
+    return _pair(PlateSystem(d), t.xi, "coth", ctl, True, "dfdxi")
 
 
 def pressure_thermal_log(
@@ -155,14 +153,9 @@ def pressure_poisson(
 ) -> EvalResult:
     """All-temperature net pressure from the kernel's Poisson series:
     d^4 P = p(2 xi)/8 - p(xi) with
-    p = pi^6 x^4/45 - zeta(3) x/4 - (1/4) sum_m [...]/m^3."""
-    _require_separation(d)
-    if t.xi < _POISSON_XI_FLOOR:
-        raise SlowConvergenceError(
-            f"pressure_poisson converges too slowly below xi={_POISSON_XI_FLOOR}; "
-            "use pressure_net_dfdxi"
-        )
-    return _pressure(d, t.xi, "poisson", ctl, "poisson")
+    p = pi^6 x^4/45 - zeta(3) x/4 - (1/4) sum_m [...]/m^3.  Below
+    xi = 0.05 it is the Poisson route's SlowConvergenceError."""
+    return _pair(PlateSystem(d), t.xi, "poisson", ctl, True)
 
 
 def pressure_high_T(t: ThermalPoint, d: float) -> float:
@@ -188,10 +181,14 @@ def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> Eval
         route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
     else:
         route = _route(xi)
-    if not 0.0 < d < _INF:
+    if not 0.0 < d <= _MAX:  # also an integer d past the float range
         _require_separation(d)
     value, _, err, terms = _pair_profile(PlateKind.BOYER_MIXED, xi, route, True, ctl)
     value, err = value / d / d / d / d, err / d / d / d / d
     if not (-_INF < value < _INF and err < _INF):
         raise DomainError(f"the result at d={d!r} is outside the floating-point range")
     return tuple.__new__(EvalResult, (value, err, terms, "dfdxi" if route == "coth" else route))
+
+
+# the table's pressure row (see free_energy._SERVED): routed, and Boyer only
+_SERVED["pressure", "auto"] = (lambda sys, xi, ctl: pressure_auto(sys.d, xi, ctl), _BOYER)

@@ -18,7 +18,6 @@ __all__ = [
     "ZETA3",
     "macdonald_half",
     "coth_stable",
-    "coth_minus_one",
     "inv_sinh_stable",
 ]
 
@@ -182,17 +181,11 @@ def macdonald_half(n: int, z: float) -> float:
 
 
 def coth_stable(x: float) -> float:
-    """coth(x) for x > 0 without overflow and with full small-x accuracy."""
+    """coth(x) = 1 + 2 e^(-2x) / (1 - e^(-2x)) for x > 0, without overflow
+    and with full small-x accuracy."""
     if not x > 0.0:
         raise DomainError("coth_stable requires x > 0")
-    return 1.0 + coth_minus_one(x)
-
-
-def coth_minus_one(x: float) -> float:
-    """coth(x) - 1 = 2 e^(-2x) / (1 - e^(-2x)), exact in the large-x tail."""
-    if not x > 0.0:
-        raise DomainError("coth_minus_one requires x > 0")
-    return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
+    return 1.0 + 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
 
 
 def inv_sinh_stable(x: float) -> float:

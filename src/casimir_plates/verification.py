@@ -22,11 +22,6 @@ from .free_energy import (
     f_conducting_lattice,
     f_conducting_single,
     free_energy_auto,
-    free_energy_high_T,
-    free_energy_lattice,
-    free_energy_low_T,
-    free_energy_mode_integral,
-    free_energy_poisson,
 )
 from .pressure import (
     _thermodynamic_residual,
@@ -81,21 +76,16 @@ def _check(name: str, residual: float, tol: float) -> Check:
 
 def _representation_equivalence(grid, out: list):
     sys = PlateSystem(1.0)
-    dev = {"double": 0.0, "poisson": 0.0, "lattice": 0.0, "mode-integral": 0.0}
+    tolerances = {"double": 1e-8, "poisson": 1e-8, "mode-integral": 1e-6, "lattice": 1e-5}
+    dev = dict.fromkeys(tolerances, 0.0)
     for xi in grid:
-        t = ThermalPoint.from_xi(xi, 1.0)
+        t = ThermalPoint(xi)
         ref = evaluate_free_energy(sys, t, _CTL, "coth").value
-        dev["double"] = max(dev["double"], abs(evaluate_free_energy(sys, t, _CTL, "double").value - ref))
-        dev["lattice"] = max(dev["lattice"], abs(free_energy_lattice(sys, t, _CTL).value - ref))
-        dev["mode-integral"] = max(
-            dev["mode-integral"], abs(free_energy_mode_integral(sys, t).value - ref)
-        )
-        if xi >= 0.1:
-            dev["poisson"] = max(dev["poisson"], abs(free_energy_poisson(sys, t, _CTL).value - ref))
-    out.append(_check("equivalence/double-vs-coth", dev["double"], 1e-8))
-    out.append(_check("equivalence/poisson-vs-coth", dev["poisson"], 1e-8))
-    out.append(_check("equivalence/mode-integral-vs-coth", dev["mode-integral"], 1e-6))
-    out.append(_check("equivalence/lattice-vs-coth", dev["lattice"], 1e-5))
+        for rep in dev:
+            if rep != "poisson" or xi >= 0.1:
+                dev[rep] = max(dev[rep], abs(evaluate_free_energy(sys, t, _CTL, rep).value - ref))
+    for rep, tol in tolerances.items():
+        out.append(_check(f"equivalence/{rep}-vs-coth", dev[rep], tol))
     # the conducting pair's two kernel routes, which the router switches between
     cond = [evaluate_free_energy(PlateSystem(1.0, "conductor"), ThermalPoint(xi), _CTL, rep).value
             for xi in grid for rep in ("poisson", "coth")]
@@ -135,7 +125,7 @@ def _pressure(grid, out: list):
     for xi in grid:
         if xi < fe._POISSON_XI_FLOOR:
             continue
-        t = ThermalPoint.from_xi(xi, 1.0)
+        t = ThermalPoint(xi)
         a = pressure_net_dfdxi(t, 1.0, _CTL).value
         b = pressure_poisson(t, 1.0, _CTL).value
         worst_pair = max(worst_pair, abs(a - b))
@@ -152,7 +142,7 @@ def _pressure(grid, out: list):
         p = pressure_auto(d, xi, _CTL).value
         worst_fd = max(worst_fd, abs(p + (fp - fm) / (2.0 * h)) / abs(p))
     out.append(_check("pressure/energy-consistency", worst_fd, 1e-5))
-    t = ThermalPoint.from_xi(0.05, 1.0)
+    t = ThermalPoint(0.05)
     cancel = abs(pressure_poisson(t, 1.0, _CTL).value / pressure_zero_T(PlateSystem(1.0)) - 1.0)
     out.append(_check("pressure/zero-T-cancellation", cancel, 2e-4))
     # P = 3F - xi dF/dxi between the composed pressure and free energy, on
@@ -174,16 +164,11 @@ def _pressure(grid, out: list):
 
 def _asymptotics(out: list):
     sys = PlateSystem(1.0)
-    t = ThermalPoint.from_xi(0.05, 1.0)
-    exact = evaluate_free_energy(sys, t, _CTL).value
-    out.append(
-        _check("asymptotics/low-T", abs(free_energy_low_T(sys, t) - exact) / abs(exact), 1e-5)
-    )
-    t = ThermalPoint.from_xi(2.0, 1.0)
-    exact = evaluate_free_energy(sys, t, _CTL).value
-    out.append(
-        _check("asymptotics/high-T", abs(free_energy_high_T(sys, t) - exact) / abs(exact), 1e-4)
-    )
+    for rep, xi, tol in (("low", 0.05, 1e-5), ("high", 2.0, 1e-4)):
+        t = ThermalPoint(xi)
+        exact = evaluate_free_energy(sys, t, _CTL).value
+        closed = evaluate_free_energy(sys, t, _CTL, rep).value
+        out.append(_check(f"asymptotics/{rep}-T", abs(closed - exact) / abs(exact), tol))
     t = ThermalPoint.from_beta(0.1, 1.0)
     pp = pressure_poisson(t, 1.0, _CTL).value
     out.append(
@@ -215,7 +200,7 @@ def _split(out: list):
         # composes the Boyer value from the same split
         f1 = f_conducting_lattice(2.0 * xi, _CTL).value / 8.0
         f2 = f_conducting_lattice(xi, _CTL).value
-        fb = evaluate_free_energy(PlateSystem(1.0), ThermalPoint.from_xi(xi, 1.0), _CTL).value
+        fb = evaluate_free_energy(PlateSystem(1.0), ThermalPoint(xi), _CTL).value
         worst = max(worst, abs(f1 - f2 - fb))
     out.append(_check("split/f1-minus-f2", worst, 1e-8))
     rec = sb_to_casimir()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import cli
+from casimir_plates import PlateKind, UnsupportedRepresentationError, cli
 from casimir_plates.verification import GRIDS, run_all
 
 
@@ -300,6 +300,48 @@ class TestEvalErrors:
                                  "--max-terms", "100000"])
 
 
+QUANTITIES = ("free_energy", "pressure", "f_scaled", "p_scaled")
+SYSTEMS = ("boyer", "conductor")
+ALL_REPS = ("auto", "coth", "poisson", "double", "bessel", "lattice", "mode-integral", "low",
+            "high")
+CENSUS_XI = ("0", "1e-5", "0.01", "0.5")
+
+
+def served(quantity, system, rep, xi):
+    """The served set, written out: what ``casimir eval`` answers with exit 0."""
+    if quantity in ("pressure", "p_scaled"):
+        return rep == "auto" and system == "boyer"  # routed, and Boyer only
+    if xi in (0.0, 1e-5):  # the zero-temperature route serves every representation
+        return True
+    if system == "conductor" and rep in ("double", "bessel", "mode-integral"):
+        return False
+    return rep != "poisson" or xi >= 0.05  # the Poisson floor
+
+
+class TestServedSet:
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_census(self, quantity, system, capsys):
+        for rep in ALL_REPS:
+            for xi in CENSUS_XI:
+                code = run_main(["eval", "--quantity", quantity, "--system", system,
+                                 "--rep", rep, "--xi", xi])
+                out, err = capsys.readouterr()
+                point = (quantity, system, rep, xi)
+                assert "nan" not in out, point
+                assert "Traceback" not in err, point
+                if served(quantity, system, rep, float(xi)):
+                    assert code == 0, (point, err)
+                    continue
+                assert code == 3 and out == "", point
+                if rep == "poisson" and quantity in ("free_energy", "f_scaled"):
+                    assert "converges too slowly below xi=0.05" in err, point
+                else:  # a missing row names the quantity, the rep and the pair
+                    table_quantity = "free_energy" if quantity[0] == "f" else "pressure"
+                    assert f"{table_quantity} in representation '{rep}'" in err, point
+                    assert f"for the {system} pair" in err, point
+
+
 def assert_finite_or_exit_3(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -494,10 +536,15 @@ class TestLazyImport:
         assert set(codes.values()) <= {0, 3}
 
         def must_succeed(command):
-            # exit 3 only where the pair or the quantity lacks the representation
+            # exit 3 only where the package's table serves no evaluator
             words = command.split()
-            return words[0] != "eval" or words[4] == "boyer" and (
-                words[6] == "auto" or words[2] in ("free_energy", "f_scaled"))
+            if words[0] != "eval":
+                return True
+            try:
+                cli._served(words[2], words[6], PlateKind(words[4]), float(words[8]))
+            except UnsupportedRepresentationError:
+                return False
+            return True
 
         assert all(code == 0 for c, code in codes.items() if must_succeed(c))
         # nor the verify battery, the Epstein engine or dataclasses

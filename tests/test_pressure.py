@@ -159,8 +159,10 @@ class TestCancellationAndAsymptotics:
         p0 = pressure_zero_T(boyer(d))
         got5 = pressure_poisson(ThermalPoint.from_xi(0.05, d), d, TIGHT).value
         assert got5 == pytest.approx(p0, rel=2e-4)
-        # the Poisson route itself: pressure_poisson refuses xi < 0.05
-        got4 = pressure_module._pressure(d, 0.04, "poisson", TIGHT, "poisson").value
+        # the Poisson route of the kernel itself, d^4 P = P at d = 1:
+        # pressure_poisson refuses xi < 0.05
+        got4 = free_energy_module._pair_profile(PlateKind.BOYER_MIXED, 0.04, "poisson", True,
+                                                TIGHT)[0]
         assert got4 == pytest.approx(p0, rel=1e-4)
 
     @pytest.mark.parametrize("beta,rtol", [(0.1, 1e-6), (0.5, 1e-3)])

@@ -9,7 +9,6 @@ from scipy import special
 from casimir_plates.errors import DomainError
 from casimir_plates.specfun import (
     SeriesControl,
-    coth_minus_one,
     coth_stable,
     inv_sinh_stable,
     macdonald_half,
@@ -128,24 +127,15 @@ class TestHyperbolicKernels:
 
     @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
     def test_pythagorean_identity(self, x):
-        # coth^2 - 1/sinh^2 = 1, stated through coth_minus_one so the
-        # comparison stays meaningful where coth ~ 1/x >> 1
-        cm1, s = coth_minus_one(x), inv_sinh_stable(x)
-        assert cm1 * cm1 + 2.0 * cm1 == pytest.approx(s * s, rel=1e-12)
+        # coth^2 - 1/sinh^2 = 1, stated as (coth - 1)(coth + 1) = 1/sinh^2
+        # so the comparison stays meaningful where coth ~ 1/x >> 1
+        c, s = coth_stable(x), inv_sinh_stable(x)
+        assert (c - 1.0) * (c + 1.0) == pytest.approx(s * s, rel=1e-12)
         if x >= 0.1:
-            c = coth_stable(x)
             assert c * c - s * s == pytest.approx(1.0, rel=1e-12)
 
-    @given(st.floats(min_value=1e-5, max_value=300.0))
-    @settings(max_examples=60, deadline=None)
-    def test_coth_minus_one_positive_and_consistent(self, x):
-        cm1 = coth_minus_one(x)
-        assert cm1 > 0.0
-        # abs term covers the 1 ulp lost to the 1.0 + cm1 - 1.0 round trip
-        assert cm1 == pytest.approx(coth_stable(x) - 1.0, rel=1e-10, abs=3e-16)
-
     def test_domain(self):
-        for fn in (coth_stable, inv_sinh_stable, coth_minus_one):
+        for fn in (coth_stable, inv_sinh_stable):
             with pytest.raises(DomainError):
                 fn(0.0)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from casimir_plates import epstein, specfun, symmetry
 from casimir_plates import free_energy as fe
 from casimir_plates import pressure as pr
-from casimir_plates.errors import CasimirError, DomainError
+from casimir_plates.errors import CasimirError, DomainError, UnsupportedRepresentationError
 from casimir_plates.free_energy import (
     PlateKind,
     PlateSystem,
@@ -34,8 +34,11 @@ X = st.one_of(
 )
 # a slot that takes an integer draws small integers as well
 N = st.one_of(X, st.integers(0, 10**4))
-KIND = st.sampled_from([k.value for k in PlateKind])
-REP = st.sampled_from(["auto", *(r.value for r in RepresentationKind)])
+# a separation or temperature draws integers past the float range as well
+D = st.one_of(X, st.integers(-10**400, 10**400))
+# the kind and representation strings, valid or not
+KIND = st.sampled_from([k.value for k in PlateKind]) | st.text(max_size=12)
+REP = st.sampled_from(["auto", *(r.value for r in RepresentationKind)]) | st.text(max_size=12)
 # each mode-integral threshold costs two quadratures
 MODE_CTL = SeriesControl(max_terms=100)
 
@@ -57,7 +60,6 @@ CASES = {
     "riemann_zeta": (specfun.riemann_zeta, (X,)),
     "macdonald_half": (specfun.macdonald_half, (N, X)),
     "coth_stable": (specfun.coth_stable, (X,)),
-    "coth_minus_one": (specfun.coth_minus_one, (X,)),
     "inv_sinh_stable": (specfun.inv_sinh_stable, (X,)),
     "EpsteinParams": (epstein.EpsteinParams, (X, st.tuples(X) | st.tuples(X, X), X)),
     "epstein_direct": (
@@ -81,35 +83,34 @@ CASES = {
     "sb_to_casimir": (symmetry.sb_to_casimir, ()),
     "low_T_from_high_T": (symmetry.low_T_from_high_T, (X,)),
     "PlateKind": (PlateKind, (KIND,)),
-    "PlateSystem": (PlateSystem, (X, KIND)),
-    "ThermalPoint": (ThermalPoint, (X,)),
-    "RepresentationKind": (RepresentationKind, (REP.filter(lambda r: r != "auto"),)),
+    "PlateSystem": (PlateSystem, (D, KIND)),
+    "ThermalPoint": (ThermalPoint, (D,)),
+    "RepresentationKind": (RepresentationKind, (REP,)),
     "zero_temperature_energy": (
-        lambda d, kind: fe.zero_temperature_energy(PlateSystem(d, kind)), (X, KIND)),
-    "f_scaled_double": (lambda xi: fe.f_scaled_double(xi, CTL), (X,)),
-    "free_energy_poisson": (_pair_call(fe.free_energy_poisson, CTL), (X, KIND, X)),
-    "free_energy_lattice": (_pair_call(fe.free_energy_lattice, CTL), (X, KIND, X)),
+        lambda d, kind: fe.zero_temperature_energy(PlateSystem(d, kind)), (D, KIND)),
+    "f_scaled_double": (lambda xi: fe.f_scaled_double(xi, CTL), (D,)),
+    "free_energy_lattice": (_pair_call(fe.free_energy_lattice, CTL), (D, KIND, D)),
     "free_energy_mode_integral": (
-        _pair_call(fe.free_energy_mode_integral, MODE_CTL), (X, KIND, X)),
-    "free_energy_low_T": (_pair_call(fe.free_energy_low_T), (X, KIND, X)),
-    "free_energy_high_T": (_pair_call(fe.free_energy_high_T), (X, KIND, X)),
-    "f_nontrivial": (lambda xi: fe.f_nontrivial(xi, CTL), (X,)),
-    "f_conducting_lattice": (lambda xi: fe.f_conducting_lattice(xi, CTL), (X,)),
-    "f_conducting_single": (lambda xi: fe.f_conducting_single(xi, CTL), (X,)),
+        _pair_call(fe.free_energy_mode_integral, MODE_CTL), (D, KIND, D)),
+    "free_energy_low_T": (_pair_call(fe.free_energy_low_T), (D, KIND, D)),
+    "free_energy_high_T": (_pair_call(fe.free_energy_high_T), (D, KIND, D)),
+    "f_nontrivial": (lambda xi: fe.f_nontrivial(xi, CTL), (D,)),
+    "f_conducting_lattice": (lambda xi: fe.f_conducting_lattice(xi, CTL), (D,)),
+    "f_conducting_single": (lambda xi: fe.f_conducting_single(xi, CTL), (D,)),
     "evaluate_free_energy": (
         lambda d, kind, xi, rep: fe.evaluate_free_energy(
             PlateSystem(d, kind), ThermalPoint(xi), MODE_CTL if rep == "mode-integral" else CTL,
             rep),
-        (X, KIND, X, REP)),
+        (D, KIND, D, REP)),
     # the routed entry points take xi as it comes: 0 is their zero-T limit
     "free_energy_auto": (
-        lambda d, kind, xi: fe.free_energy_auto(PlateSystem(d, kind), xi, CTL), (X, KIND, X)),
-    "pressure_zero_T": (lambda d, kind: pr.pressure_zero_T(PlateSystem(d, kind)), (X, KIND)),
-    "pressure_net_dfdxi": (_pressure_call(pr.pressure_net_dfdxi, CTL), (X, X)),
-    "pressure_thermal_log": (_pressure_call(pr.pressure_thermal_log, CTL), (X, X)),
-    "pressure_poisson": (_pressure_call(pr.pressure_poisson, CTL), (X, X)),
-    "pressure_high_T": (_pressure_call(pr.pressure_high_T), (X, X)),
-    "pressure_auto": (lambda d, xi: pr.pressure_auto(d, xi, CTL), (X, X)),
+        lambda d, kind, xi: fe.free_energy_auto(PlateSystem(d, kind), xi, CTL), (D, KIND, D)),
+    "pressure_zero_T": (lambda d, kind: pr.pressure_zero_T(PlateSystem(d, kind)), (D, KIND)),
+    "pressure_net_dfdxi": (_pressure_call(pr.pressure_net_dfdxi, CTL), (D, D)),
+    "pressure_thermal_log": (_pressure_call(pr.pressure_thermal_log, CTL), (D, D)),
+    "pressure_poisson": (_pressure_call(pr.pressure_poisson, CTL), (D, D)),
+    "pressure_high_T": (_pressure_call(pr.pressure_high_T), (D, D)),
+    "pressure_auto": (lambda d, xi: pr.pressure_auto(d, xi, CTL), (D, D)),
 }
 # record types hold what they are given once their own checks pass: of
 # them the property asks only that they construct or raise a CasimirError
@@ -171,12 +172,24 @@ def test_total(name, data):
     pytest.param(lambda: specfun.macdonald_half(2, 1e-300), id="macdonald_half-tiny"),
     pytest.param(lambda: specfun.macdonald_half(1, NAN), id="macdonald_half-nan"),
     pytest.param(lambda: specfun.coth_stable(NAN), id="coth_stable-nan"),
-    pytest.param(lambda: specfun.coth_minus_one(NAN), id="coth_minus_one-nan"),
     pytest.param(lambda: specfun.inv_sinh_stable(NAN), id="inv_sinh_stable-nan"),
+    pytest.param(lambda: PlateSystem(1.0, "bogus"), id="PlateSystem-bogus-kind"),
+    pytest.param(lambda: ThermalPoint(10**400), id="ThermalPoint-huge-int"),
+    pytest.param(lambda: fe.free_energy_auto(PlateSystem(10**400), 0.3),
+                 id="free_energy_auto-huge-int-d"),
+    pytest.param(lambda: pr.pressure_auto(10**400, 0.3), id="pressure_auto-huge-int-d"),
 ])
 def test_out_of_range_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("rep", ["bogus", "", "AUTO", ["coth"]])
+def test_unknown_representation_is_unsupported(rep):
+    with pytest.raises(UnsupportedRepresentationError, match="representation"):
+        fe.evaluate_free_energy(PlateSystem(1.0), ThermalPoint(0.3), CTL, rep)
+    with pytest.raises(UnsupportedRepresentationError):
+        RepresentationKind(rep)
 
 
 def test_zeta_at_large_s_rounds_to_one():

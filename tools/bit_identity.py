@@ -15,8 +15,12 @@ at every point, and ``tis_residual_nontrivial``, whose lattice sums take
 about a millisecond, at every 20th.  It also runs seeded ``casimir eval``
 and ``sweep`` commands with ``--rep auto`` (given ``--xi`` or ``--beta``)
 and seeded evals with an explicit ``--rep`` of ``coth``, ``poisson``,
-``double``, ``bessel``, ``low`` or ``high``, in-process, and records their
-exit code, stdout and CSV bytes.  Reports every difference (the first 20
+``double``, ``bessel``, ``low`` or ``high``, and a fixed grid of evals:
+every quantity, plate pair and representation (all nine, ``auto``
+included) at xi = 0, 1e-5, 0.01 and 0.5 with the default term budget, so
+that every served combination and every refusal is compared.  The grid is
+written out here, not read from the tree under test.  The commands run
+in-process, and their exit code, stdout and CSV bytes are recorded.  Reports every difference (the first 20
 in full) with a summary: how many routed outcomes moved in value or bar
 alone, the worst |value_a - value_b|/(bar_a + bar_b) among them, how many
 differ in terms_used, rep or error, and how many CLI exit codes differ.
@@ -37,6 +41,9 @@ import tempfile
 EDGE_XI = (0.0, 1e-5, 5e-4, 6.7e-4, 6.8e-4)
 QUANTITIES = ("free_energy", "pressure", "f_scaled", "p_scaled")
 EXPLICIT_REPS = ("coth", "poisson", "double", "bessel", "low", "high")
+GRID_REPS = ("auto", "coth", "poisson", "double", "bessel", "lattice", "mode-integral", "low",
+             "high")
+GRID_XI = ("0", "1e-5", "0.01", "0.5")
 SYMMETRY = ("f1_eval", "f2_eval", "tis_residual_f1", "tis_residual_f2",
             "tis_residual_boyer_naive", "tis_residual_nontrivial")
 
@@ -110,6 +117,13 @@ def emit(points: int, seed: int) -> dict:
                     "--rep", EXPLICIT_REPS[i % len(EXPLICIT_REPS)], "--d", repr(d),
                     "--xi", repr(xi)]
             cmds.append(_cli_run(cli, argv))
+        for q in QUANTITIES:
+            for system in ("boyer", "conductor"):
+                for rep in GRID_REPS:
+                    for xi in GRID_XI:
+                        argv = ["eval", "--quantity", q, "--system", system, "--rep", rep,
+                                "--xi", xi]
+                        cmds.append(_cli_run(cli, argv))
         for q in QUANTITIES:
             for spacing in ("linear", "log"):
                 argv = ["sweep", "--quantity", q, "--xi-min", "1e-3", "--xi-max", "10",
