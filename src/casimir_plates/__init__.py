@@ -17,11 +17,12 @@ from .free_energy import (
     RepresentationKind,
     ThermalPoint,
     evaluate_free_energy,
+    EvalResult,
+    SeriesControl,
     free_energy_auto,
     zero_temperature_energy,
 )
 from .pressure import pressure_auto, pressure_zero_T
-from .specfun import EvalResult, SeriesControl
 
 __version__ = "0.1.0"
 

@@ -12,15 +12,16 @@ import sys as _sys
 
 from .errors import CasimirError
 from .free_energy import (
+    EvalResult,
     PlateSystem,
     RepresentationKind,
+    SeriesControl,
     _evaluator,
     _route,
     free_energy_auto,
     zero_temperature_energy,
 )
 from .pressure import pressure_auto, pressure_zero_T
-from .specfun import EvalResult, SeriesControl
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

@@ -23,7 +23,8 @@ import math
 import warnings
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import _DEFAULT_CTL, EvalResult, SeriesControl, _record, riemann_zeta
+from .free_energy import _DEFAULT_CTL, _MAX, EvalResult, SeriesControl, _record
+from .specfun import riemann_zeta
 
 __all__ = [
     "EpsteinParams",
@@ -45,7 +46,7 @@ class EpsteinParams(_record("EpsteinParams", "z a m2")):
             raise DomainError("lattice coefficients must be positive")
         if m2 < 0.0:
             raise DomainError("M^2 must be nonnegative")
-        if not all(map(math.isfinite, (z, *a, m2))):
+        if not all(-_MAX <= v <= _MAX for v in (z, *a, m2)):
             raise DomainError("z, the lattice coefficients and M^2 must be finite")
         return tuple.__new__(cls, (z, a, m2))
 
@@ -188,7 +189,7 @@ def epstein1_closed(z: float, a: float) -> float:
     if z == 0.5:
         raise PoleError("E_1 has a pole at z = 1/2", location=0.5)
     try:
-        value = a ** (-z) * riemann_zeta(2.0 * z)
+        value = math.pow(a, -z) * riemann_zeta(2.0 * z)  # in floats, also for integers
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -224,7 +225,7 @@ def epstein2_continued(
     Gamma ratios are computed in log space.
     """
     ctl = ctl or _DEFAULT_CTL
-    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf and math.isfinite(z)):
+    if not (0.0 < a1 <= _MAX and 0.0 < a2 <= _MAX and -_MAX <= z <= _MAX):
         raise DomainError("epstein2_continued requires finite z and finite positive a1, a2")
     if a1 < a2:
         a1, a2 = a2, a1

@@ -1,4 +1,5 @@
-"""Helmholtz free energy per unit plate area, in every representation.
+"""Helmholtz free energy per unit plate area: the records, the routed
+kernel and the table of every representation the package serves.
 
 Conventions (natural units, hbar = c = k_B = 1):
 
@@ -12,18 +13,19 @@ profile g(x) = a^3 F_c, or p(x) = a^4 P_c = 3 g - x g', from the coth series
 switches at x = 1/(2 pi), where the two ratios meet.  The Boyer pair is the
 split F = F1(2d) - F2(d): d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
 The other representations are independent evaluations, cross-checked
-against the kernel by the tests and by ``casimir verify``.  Like the kernel,
-each forms the dimensionless d^3 F and scales it by d^-3 once.  Only the
-validation forms use scipy (the lattice sums through ``epstein``, the
-mode-integral quadrature), and they import it, and ``epstein``, on first
-use: the routed paths, ``double`` and the closed forms need ``math`` alone.
+against the kernel by the tests and by ``casimir verify``; all but the
+lattice sums live in ``forms``.  Like the kernel, each forms the
+dimensionless d^3 F and scales it by d^-3 once.  ``forms``, ``epstein``
+and scipy (the lattice sums, the mode-integral quadrature) are imported on
+first use: the routed paths need ``math`` alone.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys as _sys
-import warnings
+from collections import namedtuple
 
 from .errors import (
     ConvergenceError,
@@ -31,31 +33,80 @@ from .errors import (
     SlowConvergenceError,
     UnsupportedRepresentationError,
 )
-from .specfun import (
-    _DEFAULT_CTL,
-    ZETA3,
-    EvalResult,
-    SeriesControl,
-    _record,
-)
 
 __all__ = [
+    "SeriesControl",
+    "EvalResult",
     "PlateKind",
     "PlateSystem",
     "ThermalPoint",
     "RepresentationKind",
     "zero_temperature_energy",
-    "f_scaled_double",
     "free_energy_lattice",
-    "free_energy_mode_integral",
-    "free_energy_low_T",
-    "free_energy_high_T",
     "f_nontrivial",
     "f_conducting_lattice",
-    "f_conducting_single",
     "evaluate_free_energy",
     "free_energy_auto",
 ]
+
+
+def _record(name: str, fields: str):
+    """A namedtuple base for a record type whose subclass validates in
+    ``__new__``; its ``_make``, and so ``_replace``, goes through that too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class SeriesControl(_record("SeriesControl", "rel_tol max_terms min_terms")):
+    """Truncation policy shared by every adaptive series evaluator.
+
+    A series evaluator stops only once its bounded tail estimate drops
+    below ``rel_tol`` times the magnitude of the partial sum; running into
+    ``max_terms`` raises :class:`~casimir_plates.errors.ConvergenceError`
+    instead of returning silently.  ``min_terms`` is a floor for the series
+    whose tail estimate is heuristic.  The conductor kernel, whose tail
+    bound is proven from the first term, may stop before it, once that
+    bound is below min(rel_tol, eps/2) of the partial sum: where its tail
+    cannot move the double result.  Both term counts are integers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6, min_terms: int = 8):
+        if not rel_tol > 0.0:
+            raise DomainError("rel_tol must be positive")
+        try:
+            if isinstance(min_terms, bool) or isinstance(max_terms, bool):
+                raise TypeError
+            # any integral type (a numpy integer too) as a plain int
+            max_terms, min_terms = operator.index(max_terms), operator.index(min_terms)
+        except TypeError:
+            raise DomainError(
+                f"min_terms and max_terms must be integers, got {min_terms!r} and {max_terms!r}"
+            ) from None
+        if min_terms < 1 or min_terms > max_terms:
+            raise DomainError("need 1 <= min_terms <= max_terms")
+        return tuple.__new__(cls, (rel_tol, max_terms, min_terms))
+
+
+class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
+    """Value of a truncated series together with its error bookkeeping."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, abs_err_est: float, terms_used: int, rep: str):
+        if not abs_err_est >= 0.0:  # also rejects nan
+            raise DomainError("abs_err_est must be nonnegative")
+        return tuple.__new__(cls, (value, abs_err_est, terms_used, rep))
+
+
+# the truncation policy of every evaluator called without one; records are
+# immutable, so all of them share this one
+_DEFAULT_CTL = SeriesControl()
+
+
+ZETA3 = 1.202056903159594  # zeta(3) as specfun.riemann_zeta(3.0) gives it, bit for bit
 
 
 class PlateKind(enum.Enum):
@@ -358,76 +409,6 @@ def _pair(sys: PlateSystem, xi: float, route: str, ctl, pressure=False, rep=None
     return EvalResult(value, err, terms, rep or route)
 
 
-def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Scaled free energy f(xi) from the defining (n, m) double sum.
-
-    This is also the Macdonald-function (``bessel``) form term for term,
-    since K_{3/2}(z) = sqrt(pi/2z) e^(-z) (1 + 1/z).
-
-    Every term t = pos - neg lies in [0, pos], and pos falls by at least
-    r_n = e^(-n/(2 xi)) per step in m, so the error bar sums the m-tail left
-    behind in every row, the tail of the rows after the last, and the
-    rounding of each term, at most (5 + x) eps (pos + neg) with
-    x = n m/(2 xi) (the rounding of x enters e^(-x) multiplied by x).
-    Both geometric factors r/(1 - r) are formed from expm1, so they stay
-    accurate as the ratios near 1; where e^(-1/(2 xi)) rounds to 1 the
-    terms are not resolved at all, and that is a DomainError.
-    """
-    if not 0.0 < xi <= _MAX:
-        raise DomainError(f"f_scaled_double requires finite xi > 0, got {xi!r}")
-    if math.exp(-0.5 / xi) == 1.0:
-        raise DomainError(
-            f"the double sum's decay ratio exp(-1/(2 xi)) rounds to 1 at xi={xi!r}, "
-            "outside the floating-point range of its terms; use the Poisson representation"
-        )
-    ctl = ctl or _DEFAULT_CTL
-    parts = []
-    nterms = 0
-    total = 0.0
-    m_tails = 0.0
-    rounding = 0.0
-    n = 0
-    while True:
-        n += 1
-        a = n / (2.0 * xi)
-        geo = math.exp(-a) / -math.expm1(-a)  # r_n/(1 - r_n) within row n
-        row_first = None
-        m = 0
-        while True:
-            m += 1
-            nterms += 1
-            if nterms > ctl.max_terms:
-                raise SlowConvergenceError(
-                    "f_scaled_double exhausted max_terms; use the Poisson "
-                    "representation at large xi"
-                )
-            x = n * m / (2.0 * xi)
-            e1 = math.exp(-x)
-            e2 = e1 * e1
-            pos = (1.0 / m**3 + n / (2.0 * xi * m * m)) * e1
-            neg = (1.0 / m**3 + n / (xi * m * m)) * e2
-            t = pos - neg
-            parts.append(t)
-            total += t
-            rounding += (5.0 + x) * (pos + neg)
-            if row_first is None:
-                row_first = pos
-            mbound = pos * geo
-            if m >= 2 and mbound <= 0.05 * ctl.rel_tol * abs(total):
-                break
-        m_tails += mbound
-        # log of the row-to-row ratio at m = 1: exp(-1/(2 xi)) times the
-        # prefactor growth (2 xi + n + 1)/(2 xi + n)
-        lr = math.log1p(1.0 / (2.0 * xi + n)) - 0.5 / xi
-        if lr < 0.0:
-            row_full = row_first * (1.0 + geo)
-            row_tail = row_full * math.exp(lr) / -math.expm1(lr)
-            if n >= ctl.min_terms and row_tail <= 0.5 * ctl.rel_tol * abs(total):
-                break
-    value = math.fsum(parts)
-    return EvalResult(value, row_tail + m_tails + _EPS * (rounding + abs(value)), nterms, "double")
-
-
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
     """Non-trivial (neither zero-T nor Stefan-Boltzmann) part of the
     conducting-plate scaled free energy, as a positive-quadrant lattice sum.
@@ -474,18 +455,6 @@ def f_conducting_lattice(xi: float, ctl: SeriesControl | None = None) -> EvalRes
     return EvalResult(value, err, nt.terms_used, "lattice")
 
 
-def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Dimensionless conducting-plate free energy d^3 F/L^2 as a single sum.
-
-    Same quantity as :func:`f_conducting_lattice`, through the kernel's coth
-    series, which converges exponentially at any xi.
-    """
-    if not 0.0 < xi <= _MAX:
-        raise DomainError(f"f_conducting_single requires finite xi > 0, got {xi!r}")
-    value, _, err, terms = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, xi, "coth", False, ctl)
-    return EvalResult(value, err, terms, "coth")
-
-
 def free_energy_lattice(
     sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
 ) -> EvalResult:
@@ -509,137 +478,6 @@ def free_energy_lattice(
         err += abs(w) * half.abs_err_est
         terms += half.terms_used
     return EvalResult(*_per_area(value, err + 2.0 * _EPS * abs(value), sys.d, 3), terms, "lattice")
-
-
-# absolute tolerance of each quadrature, and the relative size of the last
-# threshold's integral at which the mode integral stops
-_MODE_TOL = 1e-14
-
-
-def _blackbody_tail_integral(y: float):
-    """J(y) = int_y^inf u ln(1 - e^-u) du by adaptive quadrature."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        # near the roundoff floor quad reports its own limitation; the
-        # returned error estimate is still propagated to the caller
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            lambda u: u * math.log(-math.expm1(-u)) if u > 0 else 0.0,
-            y,
-            math.inf,
-            epsabs=_MODE_TOL,
-            epsrel=1e-12,
-            limit=200,
-        )
-    return val, err
-
-
-def free_energy_mode_integral(
-    sys: PlateSystem, t: ThermalPoint, ctl: SeriesControl | None = None
-) -> EvalResult:
-    """Mode-sum quadrature oracle for the free energy.
-
-    Independent of every series representation: the thermal part is the
-    black-body integrand integrated above each discrete transverse
-    threshold, for conducting pairs at separations 2d and d.  The threshold
-    sum needs about 70 xi thresholds; past ``ctl.max_terms`` of them it
-    is a SlowConvergenceError, raised at once where certain: the sum stops at
-    n once |J(n/(2 xi))| < 1e-14 |sum|, while |J(y)| >= (1 + y) e^-y and
-    |sum| <= min(n zeta(3), 2 xi int_0^inf |J| = 4 xi zeta(4)) (part n is at
-    most |J(n/(2 xi))| <= zeta(3), decreasing); where ``ctl.max_terms``
-    fails that by 2.5x (room for quadrature error), every n fails it.
-    """
-    _require_boyer(sys, "mode-integral")
-    ctl = ctl or _DEFAULT_CTL
-    xi = t.xi
-    too_slow = SlowConvergenceError(f"mode integral: no convergence within {ctl.max_terms} "
-                                    f"thresholds at xi={xi!r}; use the poisson representation")
-    y = 0.5 * ctl.max_terms / xi
-    if (1.0 + y) * math.exp(-y) >= 2.5 * _MODE_TOL * min(
-            ctl.max_terms * ZETA3, 2.0 * math.pi**4 * xi / 45.0):
-        raise too_slow
-    parts = []
-    qerr = 0.0
-    n = 0
-    while True:
-        n += 1
-        j1, e1 = _blackbody_tail_integral(0.5 * n / xi)
-        j2, e2 = _blackbody_tail_integral(n / xi)
-        parts.append(j2 - j1)
-        qerr += e1 + e2
-        if n >= 4 and abs(j1) < _MODE_TOL * max(1e-300, abs(math.fsum(parts))):
-            break
-        if n >= ctl.max_terms:
-            raise too_slow
-    # d^3 F = d^3 E_0 - pi^2 xi^3 f, i.e. F = E_0 - f/(pi beta^3)
-    q = math.pi**2 * xi**3
-    value = _pair_profile(sys.kind, 0.0, "zero-T", False)[0] - q * math.fsum(parts)
-    err = (qerr + abs(j1)) * q + 1e-15 * abs(value)
-    return EvalResult(*_per_area(value, err, sys.d, 3), 2 * n, "mode-integral")
-
-
-def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False) -> float:
-    """d^3 F of a plate pair from its low- or high-temperature closed form;
-    with ``pressure``, d^4 P from the high-temperature one.
-
-    The conducting profile g(x) is its closed-form monomials (those of the
-    kernel's coth route at low, of its Poisson route at high temperature)
-    plus one exponential, -pi^2 x^2 (x + 1) e^(-1/x) at low and
-    -x (1/4 + pi^2 x) e^(-4 pi^2 x) at high temperature.  The pressure
-    profile p = 3 g - x g' has the monomials (3 - k) c x^k and, at high
-    temperature, the exponential -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4.
-    A pair is its halves' monomials plus the exponential of its slowest
-    half (largest x at low, smallest at high temperature); for the Boyer
-    pair the other half's is the next, dropped, order.  So at high
-    temperature the Boyer correction enters with a plus sign: the half at
-    separation d carries weight -1.
-    """
-    a, w = (min if high else max)(_HALVES[kind])
-    x = a * xi
-    try:
-        if high:
-            r = math.exp(-4.0 * math.pi**2 * x)
-            if pressure:
-                e = -0.25 * x * (2.0 + 8.0 * math.pi**2 * x + 16.0 * math.pi**4 * x * x) * r
-            else:
-                e = -x * (0.25 + math.pi**2 * x) * r
-        else:
-            e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
-        c0, k0, c1, k1, _ = _PLANS[kind]["poisson" if high else "coth"][pressure][0]
-        value = w * e + (c0 * xi**k0 + c1 * xi**k1)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(
-            f"the {'high' if high else 'low'}-temperature closed form at xi={xi!r} "
-            "overflows the floating-point range"
-        )
-    return value
-
-
-def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
-    """Closed-form low-temperature (xi <~ 0.1) asymptotics, both systems."""
-    return _per_area(_asymptotic_profile(sys.kind, t.xi, False), 0.0, sys.d, 3)[0]
-
-
-def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
-    """Closed-form high-temperature (xi >~ 1) asymptotics, both systems.
-
-    Verified against the Poisson representation over xi in [1, 3].
-    """
-    return _per_area(_asymptotic_profile(sys.kind, t.xi, True), 0.0, sys.d, 3)[0]
-
-
-def _double(sys: PlateSystem, xi: float, ctl: SeriesControl | None) -> EvalResult:
-    """F/L^2 of the Boyer pair, d^3 F = d^3 E_0 - pi^2 xi^3 f(xi), f the double sum."""
-    f, q = f_scaled_double(xi, ctl), math.pi**2 * xi**3
-    g0 = _pair_profile(sys.kind, 0.0, "zero-T", False)[0]
-    value = g0 - _BESSEL_THERMAL_SIGN * q * f.value
-    # f's bar, then the rounding of q f and g0, of their difference and
-    # of the d^-3 scaling, as in _pair_profile
-    err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
-    return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
 
 
 def evaluate_free_energy(
@@ -676,11 +514,19 @@ def free_energy_auto(
     return tuple.__new__(EvalResult, (value, err, terms, route))
 
 
+def _forms():
+    """The validation representations' module, imported on first use."""
+    from . import forms
+
+    return forms
+
+
 _BOTH = frozenset(PlateKind)
 _BOYER = frozenset((PlateKind.BOYER_MIXED,))
 # The one table of what the package serves: each (quantity, representation)
 # row is (evaluator(sys, xi, ctl) -> EvalResult, the plate kinds it serves),
-# and a missing row or kind is the refusal (_evaluator).  pressure.py, which
+# and a missing row or kind is the refusal (_evaluator).  A row of a
+# validation representation reaches ``forms`` only when it is called.  pressure.py, which
 # builds on this module, adds the pressure row: routed, and Boyer only.
 _SERVED = {
     ("free_energy", "auto"): (free_energy_auto, _BOTH),
@@ -688,16 +534,14 @@ _SERVED = {
     ("free_energy", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl), _BOTH),
     ("free_energy", "lattice"): (
         lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
-    ("free_energy", "low"): (
-        lambda sys, xi, ctl: EvalResult(free_energy_low_T(sys, ThermalPoint(xi)), 0.0, 0, "low"),
-        _BOTH),
-    ("free_energy", "high"): (
-        lambda sys, xi, ctl: EvalResult(free_energy_high_T(sys, ThermalPoint(xi)), 0.0, 0, "high"),
-        _BOTH),
-    ("free_energy", "double"): (_double, _BOYER),
-    ("free_energy", "bessel"): (_double, _BOYER),
-    ("free_energy", "mode-integral"): (
-        lambda sys, xi, ctl: free_energy_mode_integral(sys, ThermalPoint(xi), ctl), _BOYER),
+    ("free_energy", "low"): (lambda sys, xi, ctl: EvalResult(
+        _forms().free_energy_low_T(sys, ThermalPoint(xi)), 0.0, 0, "low"), _BOTH),
+    ("free_energy", "high"): (lambda sys, xi, ctl: EvalResult(
+        _forms().free_energy_high_T(sys, ThermalPoint(xi)), 0.0, 0, "high"), _BOTH),
+    ("free_energy", "double"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
+    ("free_energy", "bessel"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
+    ("free_energy", "mode-integral"): (lambda sys, xi, ctl: _forms().free_energy_mode_integral(
+        sys, ThermalPoint(xi), ctl), _BOYER),
 }
 
 

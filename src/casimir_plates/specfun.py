@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, PoleError
+# the records and constants the package shares, at home in free_energy
+from .free_energy import _DEFAULT_CTL, _MAX, ZETA3, EvalResult, SeriesControl  # noqa: F401
 
 __all__ = [
     "SeriesControl",
@@ -20,62 +21,6 @@ __all__ = [
     "coth_stable",
     "inv_sinh_stable",
 ]
-
-
-def _record(name: str, fields: str):
-    """A namedtuple base for a record type whose subclass validates in
-    ``__new__``; its ``_make``, and so ``_replace``, goes through that too."""
-    base = namedtuple(name, fields)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
-
-
-class SeriesControl(_record("SeriesControl", "rel_tol max_terms min_terms")):
-    """Truncation policy shared by every adaptive series evaluator.
-
-    A series evaluator stops only once its bounded tail estimate drops
-    below ``rel_tol`` times the magnitude of the partial sum; running into
-    ``max_terms`` raises :class:`~casimir_plates.errors.ConvergenceError`
-    instead of returning silently.  ``min_terms`` is a floor for the series
-    whose tail estimate is heuristic.  The conductor kernel, whose tail
-    bound is proven from the first term, may stop before it, once that
-    bound is below min(rel_tol, eps/2) of the partial sum: where its tail
-    cannot move the double result.  Both term counts are integers.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6, min_terms: int = 8):
-        if not rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        try:
-            if isinstance(min_terms, bool) or isinstance(max_terms, bool):
-                raise TypeError
-            # any integral type (a numpy integer too) as a plain int
-            max_terms, min_terms = operator.index(max_terms), operator.index(min_terms)
-        except TypeError:
-            raise DomainError(
-                f"min_terms and max_terms must be integers, got {min_terms!r} and {max_terms!r}"
-            ) from None
-        if min_terms < 1 or min_terms > max_terms:
-            raise DomainError("need 1 <= min_terms <= max_terms")
-        return tuple.__new__(cls, (rel_tol, max_terms, min_terms))
-
-
-class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
-    """Value of a truncated series together with its error bookkeeping."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, abs_err_est: float, terms_used: int, rep: str):
-        if not abs_err_est >= 0.0:  # also rejects nan
-            raise DomainError("abs_err_est must be nonnegative")
-        return tuple.__new__(cls, (value, abs_err_est, terms_used, rep))
-
-
-# the truncation policy of every evaluator called without one; records are
-# immutable, so all of them share this one
-_DEFAULT_CTL = SeriesControl()
 
 
 # Bernoulli numbers B_2, B_4, ... B_10 for the Euler-Maclaurin tail.
@@ -97,7 +42,7 @@ def riemann_zeta(s: float) -> float:
         raise PoleError("riemann_zeta has a simple pole at s = 1", location=1.0)
     if s >= 54.0:
         return 1.0
-    if not math.isfinite(s):
+    if not -_MAX <= s:  # also an integer past the float range
         raise DomainError(f"riemann_zeta is not defined at s={s!r}")
     if s < 0.0:
         # reflection: zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
@@ -140,9 +85,6 @@ def riemann_zeta(s: float) -> float:
     return head + tail + corr
 
 
-ZETA3 = riemann_zeta(3.0)  # Apery's constant, shared by every zeta(3) closed form
-
-
 def macdonald_half(n: int, z: float) -> float:
     """Macdonald function K_{n+1/2}(z) through its finite closed form.
 
@@ -158,8 +100,8 @@ def macdonald_half(n: int, z: float) -> float:
     if index < 0:
         raise DomainError(f"order index n must be a nonnegative integer, got {n!r}")
     n = index
-    if not z > 0.0:
-        raise DomainError("macdonald_half requires z > 0")
+    if not 0.0 < z <= _MAX:
+        raise DomainError(f"macdonald_half requires finite z > 0, got {z!r}")
     # sum_{k=0}^{n} (n+k)! / (k! (n-k)! (2z)^k), built by term ratios; once
     # a term is 0 or the sum inf, the rest cannot change the result
     term = 1.0
@@ -183,15 +125,15 @@ def macdonald_half(n: int, z: float) -> float:
 def coth_stable(x: float) -> float:
     """coth(x) = 1 + 2 e^(-2x) / (1 - e^(-2x)) for x > 0, without overflow
     and with full small-x accuracy."""
-    if not x > 0.0:
-        raise DomainError("coth_stable requires x > 0")
+    if not 0.0 < x <= _MAX:
+        raise DomainError(f"coth_stable requires finite x > 0, got {x!r}")
     return 1.0 + 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
 
 
 def inv_sinh_stable(x: float) -> float:
     """1/sinh(x) as 2 e^(-x) / (1 - e^(-2x)); never overflows for large x."""
-    if not x > 0.0:
-        raise DomainError("inv_sinh_stable requires x > 0")
+    if not 0.0 < x <= _MAX:
+        raise DomainError(f"inv_sinh_stable requires finite x > 0, got {x!r}")
     return 2.0 * math.exp(-x) / -math.expm1(-2.0 * x)
 
 

@@ -20,15 +20,17 @@ from collections import namedtuple
 
 from .epstein import EpsteinParams, epstein_direct
 from .errors import DomainError
+from .forms import free_energy_low_T
 from .free_energy import (
     _HALVES,
+    _MAX,
     PlateKind,
     PlateSystem,
     ThermalPoint,
+    _require_separation,
     evaluate_free_energy,
     f_nontrivial,
     free_energy_auto,
-    free_energy_low_T,
     zero_temperature_energy,
 )
 from .specfun import (
@@ -79,6 +81,9 @@ def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None) -
     """F/L^2 of the Boyer pair's conducting half at separation a d, which
     sees its own scaled temperature a xi: the conducting pair there, on the
     kernel's coth series."""
+    _require_separation(d)
+    if not 0.0 < xi <= _MAX:  # also an integer past the float range
+        raise DomainError(f"xi must be finite and positive, got {xi!r}")
     return evaluate_free_energy(PlateSystem(a * d, "conductor"), ThermalPoint(a * xi), ctl, "coth")
 
 
@@ -105,7 +110,7 @@ def _inversion_residual(f, xi: float, c: float) -> float:
     1272 (1969), in this module's variable).  A xi that is not finite and
     positive, or whose image or scale (c xi)^4 leaves the float range, is a
     DomainError."""
-    if not 0.0 < xi < math.inf:
+    if not 0.0 < xi <= _MAX:
         raise DomainError(f"the inversion residual requires finite xi > 0, got {xi!r}")
     try:
         scale = (c * xi) ** 4

@@ -15,23 +15,20 @@ from typing import Callable
 from . import free_energy as fe
 from .epstein import EpsteinParams, epstein2_continued, epstein_direct
 from .errors import CasimirError
+from .forms import (
+    _thermodynamic_residual,
+    f_conducting_single,
+    pressure_high_T,
+    pressure_thermal_log,
+)
 from .free_energy import (
     PlateSystem,
     ThermalPoint,
     evaluate_free_energy,
     f_conducting_lattice,
-    f_conducting_single,
     free_energy_auto,
 )
-from .pressure import (
-    _thermodynamic_residual,
-    pressure_auto,
-    pressure_high_T,
-    pressure_net_dfdxi,
-    pressure_poisson,
-    pressure_thermal_log,
-    pressure_zero_T,
-)
+from .pressure import pressure_auto, pressure_net_dfdxi, pressure_poisson, pressure_zero_T
 from .specfun import SeriesControl
 from .symmetry import (
     XI_FIXED_F1,

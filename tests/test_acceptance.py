@@ -19,12 +19,9 @@ from casimir_plates import (
 )
 from casimir_plates import epstein as ep
 from casimir_plates.cli import main as cli_main
-from casimir_plates.free_energy import _pair_profile, free_energy_high_T, free_energy_low_T
-from casimir_plates.pressure import (
-    pressure_high_T,
-    pressure_net_dfdxi,
-    pressure_poisson,
-)
+from casimir_plates.forms import free_energy_high_T, free_energy_low_T, pressure_high_T
+from casimir_plates.free_energy import _pair_profile
+from casimir_plates.pressure import pressure_net_dfdxi, pressure_poisson
 from casimir_plates.symmetry import (
     XI_FIXED_F1,
     XI_FIXED_F2,

@@ -493,21 +493,30 @@ import casimir_plates
 from casimir_plates import cli
 
 codes = {}
-with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
-        contextlib.redirect_stderr(io.StringIO()):
-    out = os.path.join(tmp, "out.csv")
+
+
+def evals(reps):
     for quantity in ("free_energy", "pressure", "f_scaled", "p_scaled"):
         for system in ("boyer", "conductor"):
-            for rep in ("auto", "coth", "poisson", "double", "bessel", "low", "high"):
+            for rep in reps:
                 for xi in ("0", "0.1", "0.5"):
                     argv = ["eval", "--quantity", quantity, "--system", system,
                             "--rep", rep, "--xi", xi]
                     codes[" ".join(argv)] = cli.main(argv)
+
+
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    out = os.path.join(tmp, "out.csv")
+    evals(("auto",))
     argv = ["sweep", "--quantity", "free_energy", "--xi-min", "0", "--xi-max", "2",
             "--points", "50", "--out", out]
     codes["sweep"] = cli.main(argv)
     for fid in ("1", "2", "3"):
         codes["figure " + fid] = cli.main(["figure", fid, "--points", "50", "--out", out])
+    # the routed commands load the package's cold path and nothing else
+    cold = sorted(m for m in sys.modules if m.startswith("casimir_plates"))
+    evals(("coth", "poisson", "double", "bessel", "low", "high"))
     loaded = sorted(m for m in ("casimir_plates.verification", "casimir_plates.symmetry",
                                 "casimir_plates.epstein", "dataclasses") if m in sys.modules)
     from casimir_plates.symmetry import f1_eval, f2_eval
@@ -517,7 +526,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     lattice = cli.main(["eval", "--quantity", "free_energy", "--rep", "lattice", "--xi", "0.5"])
     after = "scipy" in sys.modules
     verify = cli.main(["verify", "--grid", "coarse"])
-print(json.dumps({"codes": codes, "loaded": loaded, "before": before, "lattice": lattice,
+print(json.dumps({"codes": codes, "cold": cold, "loaded": loaded, "before": before, "lattice": lattice,
                   "after": after, "verify": verify}))
 """
 
@@ -547,6 +556,10 @@ class TestLazyImport:
             return True
 
         assert all(code == 0 for c, code in codes.items() if must_succeed(c))
+        # import, routed evals, a sweep and the figures parse no validation
+        # representation, special function or engine: only the cold path
+        assert got["cold"] == ["casimir_plates", "casimir_plates.cli", "casimir_plates.errors",
+                               "casimir_plates.free_energy", "casimir_plates.pressure"]
         # nor the verify battery, the Epstein engine or dataclasses
         assert got["loaded"] == []
         assert got["before"] == []

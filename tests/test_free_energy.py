@@ -24,18 +24,20 @@ from casimir_plates import (
     pressure_auto,
     zero_temperature_energy,
 )
+from casimir_plates.forms import (
+    f_conducting_single,
+    f_scaled_double,
+    free_energy_high_T,
+    free_energy_low_T,
+    free_energy_mode_integral,
+)
 from casimir_plates.free_energy import (
     _SERIES_SCALE,
     _ZERO_T_XI,
     _pair_profile,
     _route,
     f_conducting_lattice,
-    f_conducting_single,
     f_nontrivial,
-    f_scaled_double,
-    free_energy_high_T,
-    free_energy_low_T,
-    free_energy_mode_integral,
 )
 
 TIGHT = SeriesControl(rel_tol=1e-14)
@@ -234,12 +236,12 @@ class TestRepresentationEquivalence:
     def test_mode_integral_refuses_at_once(self, monkeypatch, xi, max_terms):
         # where the thresholds it provably needs exceed max_terms, the mode
         # integral raises before its first quadrature
-        from casimir_plates import free_energy as free_energy_module
+        from casimir_plates import forms
 
         def no_quadrature(y):
             raise AssertionError("a quadrature ran")
 
-        monkeypatch.setattr(free_energy_module, "_blackbody_tail_integral", no_quadrature)
+        monkeypatch.setattr(forms, "_blackbody_tail_integral", no_quadrature)
         with pytest.raises(SlowConvergenceError, match=f"within {max_terms} thresholds"):
             free_energy_mode_integral(boyer(), ThermalPoint(xi), SeriesControl(max_terms=max_terms))
 

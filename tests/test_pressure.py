@@ -23,13 +23,8 @@ from casimir_plates import (
 )
 from casimir_plates import free_energy as free_energy_module
 from casimir_plates import pressure as pressure_module
-from casimir_plates.pressure import (
-    _thermodynamic_residual,
-    pressure_high_T,
-    pressure_net_dfdxi,
-    pressure_poisson,
-    pressure_thermal_log,
-)
+from casimir_plates.forms import _thermodynamic_residual, pressure_high_T, pressure_thermal_log
+from casimir_plates.pressure import pressure_net_dfdxi, pressure_poisson
 from casimir_plates.verification import GRIDS, run_all
 
 TIGHT = SeriesControl(rel_tol=1e-14)

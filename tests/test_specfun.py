@@ -8,6 +8,7 @@ from scipy import special
 
 from casimir_plates.errors import DomainError
 from casimir_plates.specfun import (
+    ZETA3,
     SeriesControl,
     coth_stable,
     inv_sinh_stable,
@@ -62,6 +63,10 @@ class TestRiemannZeta:
         got = riemann_zeta(s)
         tol = 1e-12 + 8.0 * abs(s) * 2.0**-52 * float(cot)
         assert abs(got - ref) <= tol * abs(ref) or abs(got - ref) <= 1e-300
+
+    def test_zeta3_constant_is_the_computed_value(self):
+        # the kernel's ZETA3 is a literal, so that no zeta runs at import
+        assert ZETA3 == riemann_zeta(3.0)
 
     def test_trivial_zeros(self):
         assert riemann_zeta(-2.0) == pytest.approx(0.0, abs=1e-14)

@@ -9,17 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import epstein, specfun, symmetry
+from casimir_plates import epstein, forms, specfun, symmetry
 from casimir_plates import free_energy as fe
 from casimir_plates import pressure as pr
 from casimir_plates.errors import CasimirError, DomainError, UnsupportedRepresentationError
-from casimir_plates.free_energy import (
-    PlateKind,
-    PlateSystem,
-    RepresentationKind,
-    ThermalPoint,
-    f_conducting_single,
-)
+from casimir_plates.forms import f_conducting_single
+from casimir_plates.free_energy import PlateKind, PlateSystem, RepresentationKind, ThermalPoint
 from casimir_plates.specfun import EvalResult, SeriesControl
 
 # a small budget: the property asks only how a call ends, and a sum that
@@ -57,46 +52,46 @@ def _pressure_call(fn, *ctl):
 CASES = {
     "SeriesControl": (SeriesControl, (X, N, N)),
     "EvalResult": (EvalResult, (X, X, N, st.just("coth"))),
-    "riemann_zeta": (specfun.riemann_zeta, (X,)),
-    "macdonald_half": (specfun.macdonald_half, (N, X)),
-    "coth_stable": (specfun.coth_stable, (X,)),
-    "inv_sinh_stable": (specfun.inv_sinh_stable, (X,)),
-    "EpsteinParams": (epstein.EpsteinParams, (X, st.tuples(X) | st.tuples(X, X), X)),
+    "riemann_zeta": (specfun.riemann_zeta, (D,)),
+    "macdonald_half": (specfun.macdonald_half, (N, D)),
+    "coth_stable": (specfun.coth_stable, (D,)),
+    "inv_sinh_stable": (specfun.inv_sinh_stable, (D,)),
+    "EpsteinParams": (epstein.EpsteinParams, (D, st.tuples(D) | st.tuples(D, D), D)),
     "epstein_direct": (
         lambda z, a, m2: epstein.epstein_direct(epstein.EpsteinParams(z, a, m2), CTL),
-        (X, st.tuples(X) | st.tuples(X, X), X),
+        (D, st.tuples(D) | st.tuples(D, D), D),
     ),
-    "epstein1_closed": (epstein.epstein1_closed, (X, X)),
+    "epstein1_closed": (epstein.epstein1_closed, (D, D)),
     "epstein2_continued": (
-        lambda z, a1, a2: epstein.epstein2_continued(z, a1, a2, CTL), (X, X, X)),
-    "SplitFreeEnergies": (symmetry.SplitFreeEnergies, (X, X, X)),
-    "f1_eval": (lambda xi, d: symmetry.f1_eval(xi, d, CTL), (X, X)),
-    "f2_eval": (lambda xi, d: symmetry.f2_eval(xi, d, CTL), (X, X)),
-    "split_eval": (lambda xi, d: symmetry.split_eval(xi, d, CTL), (X, X)),
-    "tis_residual_f1": (lambda xi, d: symmetry.tis_residual_f1(xi, d, CTL), (X, X)),
-    "tis_residual_f2": (lambda xi, d: symmetry.tis_residual_f2(xi, d, CTL), (X, X)),
-    "tis_residual_nontrivial": (lambda xi: symmetry.tis_residual_nontrivial(xi, CTL), (X,)),
+        lambda z, a1, a2: epstein.epstein2_continued(z, a1, a2, CTL), (D, D, D)),
+    "SplitFreeEnergies": (symmetry.SplitFreeEnergies, (D, D, D)),
+    "f1_eval": (lambda xi, d: symmetry.f1_eval(xi, d, CTL), (D, D)),
+    "f2_eval": (lambda xi, d: symmetry.f2_eval(xi, d, CTL), (D, D)),
+    "split_eval": (lambda xi, d: symmetry.split_eval(xi, d, CTL), (D, D)),
+    "tis_residual_f1": (lambda xi, d: symmetry.tis_residual_f1(xi, d, CTL), (D, D)),
+    "tis_residual_f2": (lambda xi, d: symmetry.tis_residual_f2(xi, d, CTL), (D, D)),
+    "tis_residual_nontrivial": (lambda xi: symmetry.tis_residual_nontrivial(xi, CTL), (D,)),
     "tis_residual_boyer_naive": (
-        lambda xi, d: symmetry.tis_residual_boyer_naive(xi, d, CTL), (X, X)),
-    "identity_alternating": (lambda b: symmetry.identity_alternating(b, CTL), (X,)),
-    "identity_plain": (lambda b: symmetry.identity_plain(b, CTL), (X,)),
+        lambda xi, d: symmetry.tis_residual_boyer_naive(xi, d, CTL), (D, D)),
+    "identity_alternating": (lambda b: symmetry.identity_alternating(b, CTL), (D,)),
+    "identity_plain": (lambda b: symmetry.identity_plain(b, CTL), (D,)),
     "sb_to_casimir": (symmetry.sb_to_casimir, ()),
-    "low_T_from_high_T": (symmetry.low_T_from_high_T, (X,)),
+    "low_T_from_high_T": (symmetry.low_T_from_high_T, (D,)),
     "PlateKind": (PlateKind, (KIND,)),
     "PlateSystem": (PlateSystem, (D, KIND)),
     "ThermalPoint": (ThermalPoint, (D,)),
     "RepresentationKind": (RepresentationKind, (REP,)),
     "zero_temperature_energy": (
         lambda d, kind: fe.zero_temperature_energy(PlateSystem(d, kind)), (D, KIND)),
-    "f_scaled_double": (lambda xi: fe.f_scaled_double(xi, CTL), (D,)),
+    "f_scaled_double": (lambda xi: forms.f_scaled_double(xi, CTL), (D,)),
     "free_energy_lattice": (_pair_call(fe.free_energy_lattice, CTL), (D, KIND, D)),
     "free_energy_mode_integral": (
-        _pair_call(fe.free_energy_mode_integral, MODE_CTL), (D, KIND, D)),
-    "free_energy_low_T": (_pair_call(fe.free_energy_low_T), (D, KIND, D)),
-    "free_energy_high_T": (_pair_call(fe.free_energy_high_T), (D, KIND, D)),
+        _pair_call(forms.free_energy_mode_integral, MODE_CTL), (D, KIND, D)),
+    "free_energy_low_T": (_pair_call(forms.free_energy_low_T), (D, KIND, D)),
+    "free_energy_high_T": (_pair_call(forms.free_energy_high_T), (D, KIND, D)),
     "f_nontrivial": (lambda xi: fe.f_nontrivial(xi, CTL), (D,)),
     "f_conducting_lattice": (lambda xi: fe.f_conducting_lattice(xi, CTL), (D,)),
-    "f_conducting_single": (lambda xi: fe.f_conducting_single(xi, CTL), (D,)),
+    "f_conducting_single": (lambda xi: forms.f_conducting_single(xi, CTL), (D,)),
     "evaluate_free_energy": (
         lambda d, kind, xi, rep: fe.evaluate_free_energy(
             PlateSystem(d, kind), ThermalPoint(xi), MODE_CTL if rep == "mode-integral" else CTL,
@@ -107,9 +102,9 @@ CASES = {
         lambda d, kind, xi: fe.free_energy_auto(PlateSystem(d, kind), xi, CTL), (D, KIND, D)),
     "pressure_zero_T": (lambda d, kind: pr.pressure_zero_T(PlateSystem(d, kind)), (D, KIND)),
     "pressure_net_dfdxi": (_pressure_call(pr.pressure_net_dfdxi, CTL), (D, D)),
-    "pressure_thermal_log": (_pressure_call(pr.pressure_thermal_log, CTL), (D, D)),
+    "pressure_thermal_log": (_pressure_call(forms.pressure_thermal_log, CTL), (D, D)),
     "pressure_poisson": (_pressure_call(pr.pressure_poisson, CTL), (D, D)),
-    "pressure_high_T": (_pressure_call(pr.pressure_high_T), (D, D)),
+    "pressure_high_T": (_pressure_call(forms.pressure_high_T), (D, D)),
     "pressure_auto": (lambda d, xi: pr.pressure_auto(d, xi, CTL), (D, D)),
 }
 # record types hold what they are given once their own checks pass: of
@@ -131,7 +126,7 @@ def _finite(r) -> bool:
 def test_every_public_callable_has_a_case():
     public = {
         name
-        for module in (specfun, epstein, symmetry, fe, pr)
+        for module in (specfun, epstein, symmetry, fe, pr, forms)
         for name in module.__all__
         if callable(getattr(module, name))
     }
@@ -178,6 +173,16 @@ def test_total(name, data):
     pytest.param(lambda: fe.free_energy_auto(PlateSystem(10**400), 0.3),
                  id="free_energy_auto-huge-int-d"),
     pytest.param(lambda: pr.pressure_auto(10**400, 0.3), id="pressure_auto-huge-int-d"),
+    pytest.param(lambda: specfun.riemann_zeta(-10**400), id="riemann_zeta-huge-int"),
+    pytest.param(lambda: specfun.coth_stable(10**400), id="coth_stable-huge-int"),
+    pytest.param(lambda: specfun.inv_sinh_stable(10**400), id="inv_sinh_stable-huge-int"),
+    pytest.param(lambda: specfun.macdonald_half(1, 10**400), id="macdonald_half-huge-int"),
+    pytest.param(lambda: epstein.EpsteinParams(2.0, (1.0, 10**400)), id="EpsteinParams-huge-int"),
+    pytest.param(lambda: epstein.epstein2_continued(2.0, 1.0, 10**400),
+                 id="epstein2_continued-huge-int"),
+    pytest.param(lambda: symmetry.f1_eval(10**400, 1.0), id="f1_eval-huge-int-xi"),
+    pytest.param(lambda: symmetry.f1_eval(0.3, 10**400), id="f1_eval-huge-int-d"),
+    pytest.param(lambda: symmetry.tis_residual_f1(10**400, 1.0), id="tis_residual_f1-huge-int"),
 ])
 def test_out_of_range_is_a_domain_error(call):
     with pytest.raises(DomainError):
