@@ -106,7 +106,7 @@ class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
 _DEFAULT_CTL = SeriesControl()
 
 
-ZETA3 = 1.202056903159594  # zeta(3) as specfun.riemann_zeta(3.0) gives it, bit for bit
+ZETA3 = 1.2020569031595942  # Apery's constant zeta(3), correctly rounded
 
 
 class PlateKind(enum.Enum):

@@ -201,4 +201,3 @@ def test_zeta_at_large_s_rounds_to_one():
     # zeta(s) - 1 < 2^(1-s): below half an ulp of 1 from s = 54 on
     assert specfun.riemann_zeta(1e300) == 1.0
     assert specfun.riemann_zeta(INF) == 1.0
-    assert specfun.ZETA3.hex() == "0x1.33ba004f00620p+0"
