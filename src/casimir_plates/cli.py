@@ -12,7 +12,9 @@ import sys as _sys
 
 from .errors import CasimirError
 from .free_energy import (
+    _PLANS,
     EvalResult,
+    PlateKind,
     PlateSystem,
     RepresentationKind,
     SeriesControl,
@@ -189,6 +191,8 @@ def _cmd_figure(args) -> int:
             header = "xi,f_boyer,f_conductor,f_boyer_zeroT_line,f_conductor_zeroT_line"
             if args.id == 2:
                 header += ",sb_curve"
+            # the Stefan-Boltzmann curve: the conducting pair's x^4 monomial at high T
+            (c_sb, k_sb, _, _, _), _ = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
             fb0 = zero_temperature_energy(PlateSystem(1.0))
             fc0 = zero_temperature_energy(PlateSystem(1.0, "conductor"))
             rows = []
@@ -197,7 +201,7 @@ def _cmd_figure(args) -> int:
                 fc = free_energy_auto(PlateSystem(1.0, "conductor"), xi, ctl).value
                 row = [f"{xi:.16e}", f"{fb:.16e}", f"{fc:.16e}", f"{fb0:.16e}", f"{fc0:.16e}"]
                 if args.id == 2:
-                    row.append(f"{-math.pi**6 * xi**4 / 45.0:.16e}")
+                    row.append(f"{c_sb * xi**k_sb:.16e}")
                 rows.append(tuple(row))
         else:
             header = "xi,p_boyer,p_zeroT_line"

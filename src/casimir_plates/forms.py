@@ -18,7 +18,6 @@ from .errors import DomainError, SlowConvergenceError
 from .free_energy import (
     _DEFAULT_CTL,
     _EPS,
-    _HALVES,
     _MAX,
     _PLANS,
     ZETA3,
@@ -200,34 +199,29 @@ def free_energy_mode_integral(
 
 
 def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False) -> float:
-    """d^3 F of a plate pair from its low- or high-temperature closed form;
-    with ``pressure``, d^4 P from the high-temperature one.
+    """d^3 F (pressure: d^4 P) of a plate pair from its low- or
+    high-temperature closed form.
 
-    The conducting profile g(x) is its closed-form monomials (those of the
-    kernel's coth route at low, of its Poisson route at high temperature)
-    plus one exponential, -pi^2 x^2 (x + 1) e^(-1/x) at low and
-    -x (1/4 + pi^2 x) e^(-4 pi^2 x) at high temperature.  The pressure
-    profile p = 3 g - x g' has the monomials (3 - k) c x^k and, at high
-    temperature, the exponential -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4.
-    A pair is its halves' monomials plus the exponential of its slowest
-    half (largest x at low, smallest at high temperature); for the Boyer
-    pair the other half's is the next, dropped, order.  So at high
-    temperature the Boyer correction enters with a plus sign: the half at
-    separation d carries weight -1.
+    A closed form is the kernel's plan on one route (coth at low, Poisson
+    at high temperature) cut to its monomials and the slowest half's first
+    term at leading order in its tail ratio r: y ~ 2r, z ~ 4r, 1 + y ~ 1.
+    On the coth plan that is -pi^2 x^2 (x + 1) e^(-1/x) per unit weight of
+    the half at x = a xi.  The Poisson plan is the coth plan of the inverted
+    pair, so the high-temperature form is the low-temperature one of that
+    pair, mapped back: -x (1/4 + pi^2 x) e^(-4 pi^2 x) for g and
+    -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4 for p.  For the Boyer pair
+    the other half's term is the next, dropped, order.
     """
-    a, w = (min if high else max)(_HALVES[kind])
-    x = a * xi
+    (c0, k0, c1, k1, rate), halves = _PLANS[kind]["poisson" if high else "coth"][pressure]
+    (_, ka, kb, kc), ws, _ = next(h for h in halves if not h[0][0])
     try:
-        if high:
-            r = math.exp(-4.0 * math.pi**2 * x)
-            if pressure:
-                e = -0.25 * x * (2.0 + 8.0 * math.pi**2 * x + 16.0 * math.pi**4 * x * x) * r
-            else:
-                e = -x * (0.25 + math.pi**2 * x) * r
-        else:
-            e = -math.pi**2 * x * x * (x + 1.0) * math.exp(-1.0 / x)
-        c0, k0, c1, k1, _ = _PLANS[kind]["poisson" if high else "coth"][pressure][0]
-        value = w * e + (c0 * xi**k0 + c1 * xi**k1)
+        xi2 = xi * xi
+        r, pa, pc = (math.exp(-rate * xi), xi, xi2 * xi) if high else (
+            math.exp(-rate / xi), xi2 * xi, xi)
+        lead = 2.0 * ka * pa + 4.0 * kb * xi2
+        if pressure:
+            lead += 4.0 * kc * pc
+        value = ws * lead * r + (c0 * xi**k0 + c1 * xi**k1)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -263,7 +257,9 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
     1e-250: there the difference is not accurate enough to test anything.
     """
     h = 1e-5 * max(xi, 0.01)
-    rate = 0.5 / (xi * xi) if route == "coth" else 4.0 * math.pi**2
+    rate = _PLANS[PlateKind.BOYER_MIXED][route][False][0][4]  # e^(-rate/xi), Poisson e^(-rate xi)
+    if route == "coth":
+        rate /= xi * xi
     if not (xi > h and (h * rate) ** 2 / 6.0 < 1e-7):
         return 0.0
 

@@ -234,19 +234,25 @@ def zero_temperature_energy(sys: PlateSystem) -> float:
     return _pair(sys, 0.0, "zero-T", None).value
 
 
-# closed-form monomials (c, k), i.e. c x^k, of the conducting-pair profile
-# g(x) on each route; the pressure profile p = 3 g - x g' has (3 - k) c x^k
-_MONOMIALS = {
-    "coth": ((-math.pi**2 / 720.0, 0), (-math.pi**2 * ZETA3 / 2.0, 3)),
-    "poisson": ((-math.pi**6 / 45.0, 4), (-ZETA3 / 8.0, 1)),
-}
-# prefactor of the series part of (g, p) on each route
-_SERIES_SCALE = {"coth": (-math.pi**2 / 8.0, math.pi**2 / 4.0), "poisson": (-0.125, -0.25)}
+# the closed-form monomials (c, k), i.e. c x^k, of the conducting profile
+# g(x) on the coth route; the pressure profile p = 3 g - x g' has (3 - k) c x^k
+_MONOMIALS = ((-math.pi**2 / 720.0, 0), (-math.pi**2 * ZETA3 / 2.0, 3))
 # each plate pair as halves (a, w): w times the conducting profile at x = a xi
 _HALVES = {
     PlateKind.BOYER_MIXED: ((2.0, 0.125), (1.0, -1.0)),
     PlateKind.CONDUCTOR_CONDUCTOR: ((1.0, 1.0),),
 }
+# The paper's modified TIS: the conductors' temperature inversion (Brown and
+# Maclay, Phys. Rev. 184, 1272 (1969)), with x' = 1/(4 pi^2 x),
+#   g(x) = (2 pi x)^4 g(x'),   p(x) = (2 pi x)^4 (2 g - p)(x'),
+# applied to each conducting half of a pair: the half (a, w) at xi is the
+# half (1/a, w a^4) at xi', so the Boyer pair's image is (1/2, 2), (1, -1).
+_TIS = 4.0 * math.pi**2
+
+
+def _inverted(c: float, k: int):
+    """The term c x'^k times (2 pi x)^4 = _TIS^2 x^4, as (c', k'): c' x^k'."""
+    return c * _TIS ** (2 - k), 4 - k
 
 
 def _plan(halves, route: str, p: bool):
@@ -254,26 +260,40 @@ def _plan(halves, route: str, p: bool):
     rate), halves), c x^k the pair's monomials combined over its halves,
     c sum_h w_h a_h^k (exactly 0 for the Boyer pair's zeta(3) x^3), and
     e^(-rate/xi) (coth) or e^(-rate xi) (Poisson) its slowest tail ratio.
-    A half is ((fast, kA, kB, kC), w scale, |w scale|): a fast half has
-    twice that rate, and its coefficients are A = kA xi^3 (Poisson: kA xi),
-    B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series."""
-    (c0, k0), (c1, k1) = (
-        (c * (3 - k if p else 1) * math.fsum(w * a**k for a, w in halves), k)
-        for c, k in _MONOMIALS["poisson" if route == "poisson" else "coth"]
-    )
-    if route == "zero-T":
-        return (c0, k0, c1, k1, 0.0), ()
-    scale = _SERIES_SCALE[route][p]
-    coth = route == "coth"
-    slow = (max if coth else min)(a for a, _ in halves)
+    A half is ((fast, kA, kB, kC), ws, |ws|): a fast half has twice that
+    rate, and its term n is ws (A y/n^3 + B z/n^2 + C z (1 + y)/n), A = kA xi^3
+    (Poisson: kA xi), B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series.
+
+    The coth plan of alpha g + beta p has A, B, C = (4 alpha x^3, 2 alpha x^2,
+    -2 beta x) times -pi^2/8, the sign in ws (the kernel sums positive
+    terms).  The Poisson plan is the coth plan of the inverted pair and of
+    (alpha + 2 beta) g - beta p, each term mapped by :func:`_inverted` and
+    the tail rate 1/a' = a by _TIS.
+    """
+    alpha, beta = (0.0, 1.0) if p else (1.0, 0.0)
+    poisson = route == "poisson"
+    if poisson:
+        halves = tuple((1.0 / a, w * a**4) for a, w in halves)
+        alpha, beta = alpha + 2.0 * beta, -beta
+    monomials = [(c * (alpha + beta * (3 - k)) * math.fsum(w * a**k for a, w in halves), k)
+                 for c, k in _MONOMIALS]
+    slow = max(a for a, _ in halves)
     series = []
     for a, w in halves:
-        if coth:
-            ks = (0.0, 0.0, a) if p else (4.0 * a**3, 2.0 * a**2, 0.0)
-        else:
-            ks = (a, 2.0 * math.pi**2 * a**2, 4.0 * math.pi**4 * a**3 if p else 0.0)
-        series.append(((a != slow, *ks), w * scale, abs(w * scale)))
-    return (c0, k0, c1, k1, 1.0 / slow if coth else 4.0 * math.pi**2 * slow), tuple(series)
+        ks = (4.0 * alpha * a**3, 2.0 * alpha * a**2, -2.0 * beta * a)
+        ws = -math.pi**2 / 8.0 * (-w if sum(ks) < 0.0 else w)
+        ks = [abs(k) for k in ks]
+        if poisson:  # A, B, C sit on xi'^3, xi'^2, xi'
+            ks = [_inverted(k, power)[0] for k, power in zip(ks, (3, 2, 1))]
+        series.append(((a != slow, *ks), ws, abs(ws)))
+    rate = 1.0 / slow
+    if poisson:
+        monomials = [_inverted(c, k) for c, k in monomials]
+        rate *= _TIS
+    (c0, k0), (c1, k1) = monomials
+    if route == "zero-T":
+        return (c0, k0, c1, k1, 0.0), ()
+    return (c0, k0, c1, k1, rate), tuple(series)
 
 
 # _PLANS[kind][route] is (free-energy plan, pressure plan), indexed by the
@@ -294,11 +314,12 @@ def _pair_profile(
     combined over the halves first (the Boyer pair's zeta(3) x^3 terms
     cancel exactly); route 'zero-T' keeps them alone, with bar 0.
 
-    Series.  With r = e^(-2v), D = 1 - r, y = coth v - 1 = 2r/D and
-    z = csch^2 v = 2y/D the conducting profile's terms are, with
-    v = n/(2x) on the coth route and v = n c, c = 2 pi^2 x, on the Poisson
-      coth     g: (4x^3 y/n + 2x^2 z)/n^2     p: x z (1 + y)/n
-      Poisson  g: (x y/n + x c z)/n^2         p: g + x c^2 z (1 + y)/n.
+    Series.  With r = e^(-2v), v = n/(2x), D = 1 - r, y = coth v - 1 = 2r/D
+    and z = csch^2 v = 2y/D the conducting profile's coth terms are
+      g: (4x^3 y/n + 2x^2 z)/n^2     p: x z (1 + y)/n
+    (times -pi^2/8 and pi^2/4).  The Poisson route is the coth route of the
+    inverted pair (:func:`_plan`), so its terms are these at
+    x' = 1/(4 pi^2 x), mapped back.
     They need r_n = r_1^n, r_1 = e^(-rate), rate = 1/x or 4 pi^2 x.  One
     exp gives the slowest half's r_1, the other half's is its square, and
     each half runs r_n = r_(n-1) r_1, with D_n = 1 - r_n while r_n < 1/2

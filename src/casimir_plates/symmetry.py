@@ -24,9 +24,12 @@ from .forms import free_energy_low_T
 from .free_energy import (
     _HALVES,
     _MAX,
+    _PLANS,
+    _TIS,
     PlateKind,
     PlateSystem,
     ThermalPoint,
+    _inverted,
     _require_separation,
     evaluate_free_energy,
     f_nontrivial,
@@ -212,14 +215,16 @@ def identity_plain(b: float, ctl: SeriesControl | None = None):
 def sb_to_casimir() -> dict:
     """Zero-temperature Casimir energy from the Stefan-Boltzmann limits.
 
-    Inverting the high-temperature limits F1 -> -2 pi^2 d/45 beta^4 and
-    F2 -> -pi^2 d/45 beta^4 through the TIS relations gives the
-    zero-temperature values in closed form (d = 1):
-    F1(0) = -pi^2/5760, F2(0) = -pi^2/720, whose difference is the
-    (7/8) pi^2/720 repulsive Boyer energy.
+    The conducting profile's high-temperature monomial -pi^6 x^4/45, mapped
+    through the inversion (``free_energy._inverted``), is its zero-temperature
+    value g(0) = -pi^2/720.  Each conducting half at separation a d has
+    F(0) = g(0)/(a d)^3; at d = 1 that gives F1(0) = -pi^2/5760 and
+    F2(0) = -pi^2/720, whose difference is the (7/8) pi^2/720 repulsive
+    Boyer energy.
     """
-    f1_zero = -math.pi**2 / (4**3 * 90.0)
-    f2_zero = -math.pi**2 / (2**3 * 90.0)
+    (c_sb, k_sb, _, _, _), _ = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
+    g0, _ = _inverted(c_sb, k_sb)
+    f1_zero, f2_zero = g0 / _A1**3, g0 / _A2**3
     return {
         "f1_zero_T": f1_zero,
         "f2_zero_T": f2_zero,
@@ -229,17 +234,29 @@ def sb_to_casimir() -> dict:
 
 
 def low_T_from_high_T(xi: float) -> dict:
-    """Low-temperature Boyer free energy obtained by mapping the
-    high-temperature closed forms through the TIS relations (d = 1).
+    """Low-temperature Boyer free energy obtained by mapping the conducting
+    halves' high-temperature closed forms through the inversion (d = 1).
 
-    mapped = (7/8) pi^2/720 - pi^2 (xi^3 + xi^2/2) e^{-1/(2 xi)},
-    algebraically identical to the direct low-temperature form.  The direct
-    form comes first: it rejects a xi that is not finite and positive, and
-    is a DomainError wherever its pi^2 x^2 (x + 1), x = 2 xi, overflows, so
-    the mapped form's xi^3 stays in range.
+    Each half (a, w) is w g(x) at x = a xi, and g(x) = (2 pi x)^4 g(x'),
+    x' = 1/(4 pi^2 x); at low temperature x' is large, where g is its
+    high-temperature form: the monomials c x'^k and the exponential
+    ws (2 kA x' + 4 kB x'^2) e^(-rate x') of the conducting pair's Poisson
+    plan.  ``free_energy._inverted`` maps each term c x'^k to c' x^(4-k),
+    and e^(-rate x') is e^(-(rate/4 pi^2)/x).  As in the direct low-temperature
+    form only the slowest half keeps its exponential, so both are the same
+    orders.  The direct form comes first: it rejects a xi that is not
+    finite and positive, and is a DomainError wherever its x^3 overflows.
     """
     direct = free_energy_low_T(PlateSystem(1.0), ThermalPoint(xi))
-    mapped = 0.875 * math.pi**2 / 720.0 - math.pi**2 * (
-        xi**3 + 0.5 * xi * xi
-    ) * math.exp(-0.5 / xi)
-    return {"mapped": mapped, "direct_low_T": direct}
+    (c0, k0, c1, k1, rate), halves = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
+    ((_, ka, kb, _), ws, _), = halves
+    monomials = (_inverted(c0, k0), _inverted(c1, k1))
+    lead = (_inverted(2.0 * ws * ka, 1), _inverted(4.0 * ws * kb, 2))
+    slow = max(a for a, _ in _HALVES[PlateKind.BOYER_MIXED])
+    parts = []
+    for a, w in _HALVES[PlateKind.BOYER_MIXED]:
+        x = a * xi
+        parts += [w * c * x**k for c, k in monomials]
+        if a == slow:
+            parts += [w * c * x**k * math.exp(-rate / _TIS / x) for c, k in lead]
+    return {"mapped": math.fsum(parts), "direct_low_T": direct}

@@ -32,7 +32,6 @@ from casimir_plates.forms import (
     free_energy_mode_integral,
 )
 from casimir_plates.free_energy import (
-    _SERIES_SCALE,
     _ZERO_T_XI,
     _pair_profile,
     _route,
@@ -78,6 +77,11 @@ def _mpmath_conductor_any(xi):
     if x <= 1 / (2 * mpmath.pi):
         return _mpmath_conductor(x)
     return (2 * mpmath.pi * x) ** 4 * _mpmath_conductor(1 / (4 * mpmath.pi**2 * x))
+
+
+# the prefactor of the series part of (g, p) on each route, written here
+# apart from the kernel's plans, which derive the Poisson one by the inversion
+SERIES_SCALE = {"coth": (-math.pi**2 / 8.0, math.pi**2 / 4.0), "poisson": (-0.125, -0.25)}
 
 
 def _mp_terms(x, route, pressure, tiny=1e-45):
@@ -502,7 +506,7 @@ class TestConductorKernel:
             _, _, err, n_used = _pair_profile(
                 PlateKind.CONDUCTOR_CONDUCTOR, x, route, pressure, SeriesControl(rel_tol=1e-30))
             q = 2 * r / (1 - r)
-            assert err >= abs(_SERIES_SCALE[route][pressure]) * q * terms[n_used - 1]
+            assert err >= abs(SERIES_SCALE[route][pressure]) * q * terms[n_used - 1]
 
     @staticmethod
     def _stop_index(terms, r, tol_at):
@@ -555,7 +559,7 @@ class TestConductorKernel:
             assert n_used <= floor_n
             if floor_n > tight.min_terms:
                 assert n_used == floor_n
-            full = _SERIES_SCALE[route][pressure] * mpmath.fsum(terms)
+            full = SERIES_SCALE[route][pressure] * mpmath.fsum(terms)
             assert abs(s_part - full) <= err
 
     def test_max_terms_is_a_convergence_error(self):
