@@ -198,8 +198,8 @@ def free_energy_mode_integral(
     return EvalResult(*_per_area(value, err, sys.d, 3), 2 * n, "mode-integral")
 
 
-def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False) -> float:
-    """d^3 F (pressure: d^4 P) of a plate pair from its low- or
+def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False):
+    """(d^3 F, error bar) (pressure: d^4 P) of a plate pair from its low- or
     high-temperature closed form.
 
     A closed form is the kernel's plan on one route (coth at low, Poisson
@@ -211,30 +211,55 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
     pair, mapped back: -x (1/4 + pi^2 x) e^(-4 pi^2 x) for g and
     -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4 for p.  For the Boyer pair
     the other half's term is the next, dropped, order.
+
+    The bar is the kernel's: each half's series is at most t_1 (1 + q),
+    q = y_1 its tail ratio bound (see :func:`~casimir_plates.free_energy._pair_profile`),
+    less what the closed form keeps of the slowest half's t_1, plus the
+    rounding: (3 rate + 10) eps of the kept term (the rate's rounding enters
+    e^(-rate) times the rate), 4 eps of each monomial and 2 eps |value|.
     """
     (c0, k0, c1, k1, rate), halves = _PLANS[kind]["poisson" if high else "coth"][pressure]
-    (_, ka, kb, kc), ws, _ = next(h for h in halves if not h[0][0])
+    bound = 0.0
     try:
         xi2 = xi * xi
-        r, pa, pc = (math.exp(-rate * xi), xi, xi2 * xi) if high else (
-            math.exp(-rate / xi), xi2 * xi, xi)
-        lead = 2.0 * ka * pa + 4.0 * kb * xi2
-        if pressure:
-            lead += 4.0 * kc * pc
-        value = ws * lead * r + (c0 * xi**k0 + c1 * xi**k1)
+        lam, pa, pc = (rate * xi, xi, xi2 * xi) if high else (rate / xi, xi2 * xi, xi)
+        r = math.exp(-lam)
+        for (fast, ka, kb, kc), ws, abs_ws in halves:
+            a, b, c = ka * pa, kb * xi2, kc * pc if pressure else 0.0
+            rh, lh = (r * r, lam + lam) if fast else (r, lam)
+            h = 2.0 / (1.0 - rh) if rh < 0.5 else -2.0 / math.expm1(-lh)
+            y = h * rh
+            z = h * y
+            bound += abs_ws * (a * y + b * z + c * z * (1.0 + y)) * (1.0 + y)
+            if not fast:
+                lead = 2.0 * ka * pa + 4.0 * kb * xi2
+                if pressure:
+                    lead += 4.0 * kc * pc
+                kept = ws * lead * r
+        m0, m1 = c0 * xi**k0, c1 * xi**k1
+        value = kept + (m0 + m1)
+        err = bound - abs(kept) + _EPS * (
+            (3.0 * lam + 10.0) * abs(kept) + 4.0 * (abs(m0) + abs(m1)) + 2.0 * abs(value))
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+        value = err = math.inf
+    if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(
             f"the {'high' if high else 'low'}-temperature closed form at xi={xi!r} "
             "overflows the floating-point range"
         )
-    return value
+    return value, err
+
+
+def _closed_form(sys: PlateSystem, t: ThermalPoint, high: bool) -> EvalResult:
+    """F/L^2 of the pair from its low- or high-temperature closed form, with
+    its bar: the rows ``low`` and ``high`` of the package's table."""
+    value, err = _asymptotic_profile(sys.kind, t.xi, high)
+    return EvalResult(*_per_area(value, err, sys.d, 3), 0, "high" if high else "low")
 
 
 def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
     """Closed-form low-temperature (xi <~ 0.1) asymptotics, both systems."""
-    return _per_area(_asymptotic_profile(sys.kind, t.xi, False), 0.0, sys.d, 3)[0]
+    return _closed_form(sys, t, False).value
 
 
 def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
@@ -242,7 +267,7 @@ def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
 
     Verified against the Poisson representation over xi in [1, 3].
     """
-    return _per_area(_asymptotic_profile(sys.kind, t.xi, True), 0.0, sys.d, 3)[0]
+    return _closed_form(sys, t, True).value
 
 
 def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = None) -> float:
@@ -346,5 +371,5 @@ def pressure_high_T(t: ThermalPoint, d: float) -> float:
     beta = 0.1, d = 1.
     """
     _require_separation(d)
-    value = _asymptotic_profile(PlateKind.BOYER_MIXED, t.xi, True, True)
+    value, _ = _asymptotic_profile(PlateKind.BOYER_MIXED, t.xi, True, True)
     return _per_area(value, 0.0, d, 4)[0]

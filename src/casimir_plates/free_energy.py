@@ -555,10 +555,10 @@ _SERVED = {
     ("free_energy", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl), _BOTH),
     ("free_energy", "lattice"): (
         lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
-    ("free_energy", "low"): (lambda sys, xi, ctl: EvalResult(
-        _forms().free_energy_low_T(sys, ThermalPoint(xi)), 0.0, 0, "low"), _BOTH),
-    ("free_energy", "high"): (lambda sys, xi, ctl: EvalResult(
-        _forms().free_energy_high_T(sys, ThermalPoint(xi)), 0.0, 0, "high"), _BOTH),
+    ("free_energy", "low"): (
+        lambda sys, xi, ctl: _forms()._closed_form(sys, ThermalPoint(xi), False), _BOTH),
+    ("free_energy", "high"): (
+        lambda sys, xi, ctl: _forms()._closed_form(sys, ThermalPoint(xi), True), _BOTH),
     ("free_energy", "double"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
     ("free_energy", "bessel"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
     ("free_energy", "mode-integral"): (lambda sys, xi, ctl: _forms().free_energy_mode_integral(

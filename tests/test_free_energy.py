@@ -359,6 +359,20 @@ class TestConductorRepresentations:
         exact = evaluate_free_energy(sys, t, TIGHT, "poisson").value
         assert free_energy_high_T(sys, t) == pytest.approx(exact, rel=1e-4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(math.log(1e-3), math.log(30.0)).map(math.exp),
+           st.sampled_from(["boyer", "conductor"]), st.sampled_from(["low", "high"]))
+    def test_closed_form_within_its_bar(self, xi, kind, rep):
+        # the closed forms' remainder bound against the pair's profile in
+        # mpmath, with no slack, also far outside the form's own range
+        r = evaluate_free_energy(PlateSystem(1.0, kind), ThermalPoint(xi), None, rep)
+        assert r.rep == rep
+        with mpmath.workdps(40):
+            ref = _mp_profile(xi, False)
+            if kind == "boyer":  # F1(2d) - F2(d)
+                ref = _mp_profile(2 * xi, False) / 8 - ref
+            assert abs(r.value - ref) <= r.abs_err_est
+
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
