@@ -19,7 +19,6 @@ from .free_energy import (
     RepresentationKind,
     SeriesControl,
     _evaluator,
-    _route,
     free_energy_auto,
     zero_temperature_energy,
 )
@@ -90,13 +89,10 @@ def _ctl(args) -> SeriesControl:
 
 
 def _served(quantity: str, rep: str, kind, xi: float):
-    """The evaluator of a CLI quantity from the package's table (f_scaled and
-    p_scaled are its free energy and pressure), or its refusal.  At a zero-T
-    xi, where every thermal part is 0, each free-energy rep is the routed one."""
+    """The evaluator of a CLI quantity at xi from the package's table
+    (f_scaled and p_scaled are its free energy and pressure), or its refusal."""
     quantity = "pressure" if quantity in ("pressure", "p_scaled") else "free_energy"
-    if quantity == "free_energy" and rep != "auto" and _route(xi) == "zero-T":
-        rep = "auto"
-    return _evaluator(quantity, rep, kind)
+    return _evaluator(quantity, rep, kind, xi)
 
 
 def _point_quantity(quantity: str, system: str, rep: str, xi: float, d: float, ctl) -> EvalResult:

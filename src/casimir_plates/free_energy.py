@@ -508,12 +508,13 @@ def evaluate_free_energy(
     rep: RepresentationKind | str = "auto",
 ) -> EvalResult:
     """Evaluate F/L^2 in the requested representation ('auto' routes), as
-    the row ('free_energy', rep) of :data:`_SERVED` gives it.
+    the row ('free_energy', rep) of :data:`_SERVED` gives it; at
+    xi <= _ZERO_T_XI every representation returns the routed zero-T value.
 
     ``bessel`` is an alias of ``double``: the Macdonald-function sum is the
     double sum term for term, so both run the one double-sum engine.
     """
-    return _evaluator("free_energy", rep, sys.kind)(sys, t.xi, ctl)
+    return _evaluator("free_energy", rep, sys.kind, t.xi)(sys, t.xi, ctl)
 
 
 def free_energy_auto(
@@ -566,11 +567,15 @@ _SERVED = {
 }
 
 
-def _evaluator(quantity: str, rep: RepresentationKind | str, kind: PlateKind):
-    """The evaluator of ``quantity`` in ``rep`` for the pair ``kind`` from
-    :data:`_SERVED`, or an UnsupportedRepresentationError naming all three."""
+def _evaluator(quantity: str, rep: RepresentationKind | str, kind: PlateKind, xi: float):
+    """The evaluator of ``quantity`` in ``rep`` for the pair ``kind`` at xi
+    from :data:`_SERVED`, or an UnsupportedRepresentationError naming all
+    three.  At a zero-T xi (:func:`_route`), where every thermal part is 0,
+    each free-energy representation is the routed one, for both pairs."""
     try:
         evaluator, kinds = _SERVED[quantity, rep]
+        if quantity == "free_energy" and _route(xi) == "zero-T":
+            evaluator, kinds = _SERVED[quantity, "auto"]
     except (KeyError, TypeError):  # no row, or a key that cannot be one
         evaluator, kinds = None, ()
     if kind not in kinds:

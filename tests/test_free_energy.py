@@ -418,6 +418,16 @@ class TestValidation:
         t = ThermalPoint.from_xi(0.5, 1.0)
         with pytest.raises(ValueError):
             evaluate_free_energy(boyer(), t, TIGHT, "chebyshev")
+        with pytest.raises(ValueError):  # also at a zero-T xi
+            evaluate_free_energy(boyer(), ThermalPoint(1e-5), TIGHT, "chebyshev")
+
+    @pytest.mark.parametrize("sys, rep", [(conductor(), "double"), (boyer(), "coth")])
+    def test_zero_T_xi_serves_the_routed_value(self, sys, rep):
+        # where every thermal part is exact 0, each representation is the
+        # routed zero-T value for both pairs, as the CLI serves it
+        r = evaluate_free_energy(sys, ThermalPoint(1e-5), None, rep)
+        assert r == free_energy_auto(sys, 1e-5)
+        assert r.rep == "zero-T"
 
     @settings(max_examples=40, deadline=None)
     @given(
