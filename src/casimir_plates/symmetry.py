@@ -16,7 +16,6 @@ mapping).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .epstein import EpsteinParams, epstein_direct
 from .errors import DomainError
@@ -46,10 +45,8 @@ from .specfun import (
 )
 
 __all__ = [
-    "SplitFreeEnergies",
     "f1_eval",
     "f2_eval",
-    "split_eval",
     "tis_residual_f1",
     "tis_residual_f2",
     "tis_residual_nontrivial",
@@ -73,13 +70,6 @@ XI_FIXED_NONTRIVIAL = 1.0 / (2.0 * math.pi)
 (_A1, _), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
 
 
-class SplitFreeEnergies(namedtuple("SplitFreeEnergies", "f1 f2 xi")):
-    """Conducting-pair free energies F1 (separation 2d) and F2
-    (separation d) sharing the scaled temperature xi of the Boyer pair."""
-
-    __slots__ = ()
-
-
 def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None) -> EvalResult:
     """F/L^2 of the Boyer pair's conducting half at separation a d, which
     sees its own scaled temperature a xi: the conducting pair there, on the
@@ -98,13 +88,6 @@ def f1_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult
 def f2_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult:
     """F2/L^2: conducting pair at separation d, scaled temperature xi."""
     return _conducting_half(_A2, xi, d, ctl)
-
-
-def split_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> SplitFreeEnergies:
-    """Both halves of the F = F1 - F2 split at (xi, d)."""
-    return SplitFreeEnergies(
-        f1=f1_eval(xi, d, ctl).value, f2=f2_eval(xi, d, ctl).value, xi=xi
-    )
 
 
 def _inversion_residual(f, xi: float, c: float) -> float:

@@ -26,10 +26,11 @@ from casimir_plates.symmetry import (
     XI_FIXED_F1,
     XI_FIXED_F2,
     XI_FIXED_NONTRIVIAL,
+    f1_eval,
+    f2_eval,
     identity_alternating,
     identity_plain,
     sb_to_casimir,
-    split_eval,
     tis_residual_boyer_naive,
     tis_residual_f1,
     tis_residual_f2,
@@ -183,11 +184,11 @@ def test_acceptance_06_temperature_inversion():
 def test_acceptance_07_split_identity():
     worst = 0.0
     for xi in (0.1, 0.3, 1.0, 3.0):
-        s = split_eval(xi, 1.0, TIGHT)
+        split = f1_eval(xi, 1.0, TIGHT).value - f2_eval(xi, 1.0, TIGHT).value
         direct = evaluate_free_energy(
             BOYER, ThermalPoint.from_xi(xi, 1.0), TIGHT
         ).value
-        worst = max(worst, abs((s.f1 - s.f2) - direct))
+        worst = max(worst, abs(split - direct))
     r = sb_to_casimir()
     closed = abs(r["boyer_zero_T_from_TIS"] - 0.875 * math.pi**2 / 720.0)
     ok = worst <= 1e-8 and closed <= 1e-17

@@ -11,7 +11,6 @@ from casimir_plates.epstein import EpsteinParams
 from casimir_plates.errors import DomainError
 from casimir_plates.free_energy import PlateKind, PlateSystem, ThermalPoint
 from casimir_plates.specfun import EvalResult, SeriesControl
-from casimir_plates.symmetry import SplitFreeEnergies
 from casimir_plates.verification import Check
 
 # one record of each type, its fields, and its repr
@@ -26,8 +25,6 @@ RECORDS = [
     (ThermalPoint(0.5), (0.5,), "ThermalPoint(xi=0.5)"),
     (EpsteinParams(2.0, (1.0, 4.0)), (2.0, (1.0, 4.0), 0.0),
      "EpsteinParams(z=2.0, a=(1.0, 4.0), m2=0.0)"),
-    (SplitFreeEnergies(f1=-1.0, f2=2.5, xi=0.1), (-1.0, 2.5, 0.1),
-     "SplitFreeEnergies(f1=-1.0, f2=2.5, xi=0.1)"),
     (Check("tis/f1", 1e-9, 1e-8, True), ("tis/f1", 1e-9, 1e-8, True),
      "Check(name='tis/f1', residual=1e-09, tolerance=1e-08, passed=True)"),
 ]

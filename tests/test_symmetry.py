@@ -21,14 +21,12 @@ from casimir_plates.symmetry import (
     XI_FIXED_F1,
     XI_FIXED_F2,
     XI_FIXED_NONTRIVIAL,
-    SplitFreeEnergies,
     f1_eval,
     f2_eval,
     identity_alternating,
     identity_plain,
     low_T_from_high_T,
     sb_to_casimir,
-    split_eval,
     tis_residual_boyer_naive,
     tis_residual_f1,
     tis_residual_f2,
@@ -43,11 +41,10 @@ class TestSplit:
     @pytest.mark.parametrize("xi", GRID)
     def test_split_reconstructs_boyer(self, xi):
         d = 1.0
-        s = split_eval(xi, d, TIGHT)
+        r1, r2 = f1_eval(xi, d, TIGHT), f2_eval(xi, d, TIGHT)
         t = ThermalPoint.from_xi(xi, d)
         direct = evaluate_free_energy(PlateSystem(d), t, TIGHT).value
-        assert s.f1 - s.f2 == pytest.approx(direct, abs=1e-8 * max(1.0, abs(direct)))
-        r1, r2 = f1_eval(xi, d, TIGHT), f2_eval(xi, d, TIGHT)
+        assert r1.value - r2.value == pytest.approx(direct, abs=1e-8 * max(1.0, abs(direct)))
         assert abs((r1.value - r2.value) - direct) <= 10.0 * (
             r1.abs_err_est + r2.abs_err_est + 1e-12
         )
@@ -55,10 +52,10 @@ class TestSplit:
     @pytest.mark.parametrize("xi", GRID)
     def test_lattice_rep_equals_split(self, xi):
         d = 1.0
-        s = split_eval(xi, d, TIGHT)
+        split = f1_eval(xi, d, TIGHT).value - f2_eval(xi, d, TIGHT).value
         t = ThermalPoint.from_xi(xi, d)
         lat = evaluate_free_energy(PlateSystem(d), t, TIGHT, "lattice").value
-        assert s.f1 - s.f2 == pytest.approx(lat, abs=1e-8 * max(1.0, abs(lat)))
+        assert split == pytest.approx(lat, abs=1e-8 * max(1.0, abs(lat)))
 
     def test_split_zero_T_limits(self):
         xi = 0.001
@@ -79,11 +76,6 @@ class TestSplit:
         assert f2_eval(xi, d, TIGHT).value == pytest.approx(
             -math.pi**2 * d / (45.0 * beta**4), rel=1e-4
         )
-
-    def test_split_dataclass(self):
-        s = split_eval(0.5, 1.0, TIGHT)
-        assert isinstance(s, SplitFreeEnergies)
-        assert s.xi == 0.5
 
 
 class TestTemperatureInversion:

@@ -64,10 +64,8 @@ CASES = {
     "epstein1_closed": (epstein.epstein1_closed, (D, D)),
     "epstein2_continued": (
         lambda z, a1, a2: epstein.epstein2_continued(z, a1, a2, CTL), (D, D, D)),
-    "SplitFreeEnergies": (symmetry.SplitFreeEnergies, (D, D, D)),
     "f1_eval": (lambda xi, d: symmetry.f1_eval(xi, d, CTL), (D, D)),
     "f2_eval": (lambda xi, d: symmetry.f2_eval(xi, d, CTL), (D, D)),
-    "split_eval": (lambda xi, d: symmetry.split_eval(xi, d, CTL), (D, D)),
     "tis_residual_f1": (lambda xi, d: symmetry.tis_residual_f1(xi, d, CTL), (D, D)),
     "tis_residual_f2": (lambda xi, d: symmetry.tis_residual_f2(xi, d, CTL), (D, D)),
     "tis_residual_nontrivial": (lambda xi: symmetry.tis_residual_nontrivial(xi, CTL), (D,)),
@@ -109,7 +107,7 @@ CASES = {
 }
 # record types hold what they are given once their own checks pass: of
 # them the property asks only that they construct or raise a CasimirError
-RECORDS = {"SeriesControl", "EvalResult", "EpsteinParams", "SplitFreeEnergies",
+RECORDS = {"SeriesControl", "EvalResult", "EpsteinParams",
            "PlateKind", "PlateSystem", "ThermalPoint", "RepresentationKind"}
 
 
