@@ -32,6 +32,7 @@ from casimir_plates.forms import (
     free_energy_mode_integral,
 )
 from casimir_plates.free_energy import (
+    _PLANS,
     _ZERO_T_XI,
     _pair_profile,
     _route,
@@ -115,6 +116,23 @@ def _mp_terms(x, route, pressure, tiny=1e-45):
         total += t
         if t < tiny * total and n >= 8:
             return terms, r1
+
+
+def _hand_poisson_plan(halves, pressure):
+    """The Poisson plan of a pair of halves (a, w) as it was written by hand
+    before the kernel derived it from the coth plan by the inversion:
+    the monomials -pi^6 x^4/45 and -zeta(3) x/8 of g (p: (3 - k) c x^k),
+    combined over the halves; the tail rate 4 pi^2 min a; and for each
+    half its fast flag and w times the series scale -1/8 (p: -1/4) times its
+    coefficients a, 2 pi^2 a^2 and 0 (p: 4 pi^4 a^3)."""
+    monomials = [(c * (3 - k if pressure else 1) * math.fsum(w * a**k for a, w in halves), k)
+                 for c, k in ((-math.pi**6 / 45.0, 4), (-float(mpmath.zeta(3)) / 8.0, 1))]
+    scale = -0.25 if pressure else -0.125
+    slow = min(a for a, _ in halves)
+    series = [(a != slow, [w * scale * k for k in (
+        a, 2.0 * math.pi**2 * a**2, 4.0 * math.pi**4 * a**3 if pressure else 0.0)])
+        for a, w in halves]
+    return monomials, 4.0 * math.pi**2 * slow, series
 
 
 def _mp_profile(x, pressure):
@@ -610,6 +628,28 @@ class TestConductorKernel:
             else:
                 ref = _mp_profile(x, pressure)
             assert abs(mpmath.mpf(r[0]) - ref) <= r[2]
+
+    @pytest.mark.parametrize("kind, halves", [
+        (PlateKind.BOYER_MIXED, ((2.0, 0.125), (1.0, -1.0))),
+        (PlateKind.CONDUCTOR_CONDUCTOR, ((1.0, 1.0),)),
+    ])
+    @pytest.mark.parametrize("pressure", [False, True])
+    def test_poisson_plan_is_the_hand_written_one(self, kind, halves, pressure):
+        # the kernel derives its Poisson plan from the coth plan by the
+        # inversion; every constant of it is within 2 ulps of the plan as
+        # written by hand, the powers and fast flags are the same
+        def close(x, y):
+            return abs(x - y) <= 2.0 * math.ulp(y)
+
+        (c0, k0, c1, k1, rate), series = _PLANS[kind]["poisson"][pressure]
+        monomials, hand_rate, hand_series = _hand_poisson_plan(halves, pressure)
+        assert [k0, k1] == [k for _, k in monomials]
+        assert close(c0, monomials[0][0]) and close(c1, monomials[1][0])
+        assert close(rate, hand_rate)
+        assert len(series) == len(hand_series)
+        for ((fast, *ks), ws, abs_ws), (hand_fast, products) in zip(series, hand_series):
+            assert fast == hand_fast and abs_ws == abs(ws)
+            assert all(close(ws * k, hand) for k, hand in zip(ks, products))
 
     def test_routed_term_counts(self):
         # pinned below the min_terms floor of 8 per sum, which the kernel's
