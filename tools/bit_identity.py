@@ -23,7 +23,9 @@ written out here, not read from the tree under test.  The commands run
 in-process, and their exit code, stdout and CSV bytes are recorded.  Reports every difference (the first 20
 in full) with a summary: how many routed outcomes moved in value or bar
 alone, the worst |value_a - value_b|/(bar_a + bar_b) among them, how many
-differ in terms_used, rep or error, and how many CLI exit codes differ.
+differ in terms_used, rep or error, the same count and worst move for the
+``f1_eval`` and ``f2_eval`` outcomes and the CLI evals (read from the
+printed value and bar), and how many CLI exit codes differ.
 Exits 1 on any difference.
 """
 from __future__ import annotations
@@ -144,14 +146,26 @@ def _run_tree(tree: str, points: int, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def _routed_move(x, y) -> float | None:
-    """|value_a - value_b| / (bar_a + bar_b) of two routed outcomes that
-    differ only in value and bar, else None (anything else differs)."""
-    if not (isinstance(x, list) and isinstance(y, list) and x[0] != "error" != y[0]
-            and x[2:] == y[2:]):
+def _value_bar(outcome):
+    """(value, bar, the rest) of an evaluation's outcome, [value, bar,
+    terms_used, rep] with floats in hex, or of a CLI eval that printed
+    "value bar terms_used rep"; None for anything else."""
+    if isinstance(outcome, list) and len(outcome) == 4 and outcome[0] != "error":
+        return float.fromhex(outcome[0]), float.fromhex(outcome[1]), outcome[2:]
+    if isinstance(outcome, list) and len(outcome) == 3 and outcome[2] is None:
+        words = outcome[1].split()
+        if outcome[0] == 0 and len(words) == 4:
+            return float(words[0]), float(words[1]), words[2:]
+    return None
+
+
+def _move(x, y) -> float | None:
+    """|value_a - value_b| / (bar_a + bar_b) of two outcomes that differ
+    only in value and bar, else None (anything else differs)."""
+    a, b = _value_bar(x), _value_bar(y)
+    if a is None or b is None or a[2] != b[2]:
         return None
-    va, ea, vb, eb = (float.fromhex(h) for h in (*x[:2], *y[:2]))
-    return abs(va - vb) / (ea + eb) if ea + eb > 0.0 else math.inf
+    return abs(a[0] - b[0]) / (a[1] + b[1]) if a[1] + b[1] > 0.0 else math.inf
 
 
 def main(argv) -> int:
@@ -176,21 +190,26 @@ def main(argv) -> int:
             shown += 1
             print(line)
 
+    others = []  # the same for f1_eval, f2_eval and the CLI evals
     for (d, xi), ra, rb in zip(a["points"], a["rows"], b["rows"]):
         for name, x, y in zip(names, ra, rb):
             if x != y:
-                move = _routed_move(x, y)
+                move = _move(x, y)
                 if move is not None:
                     moved.append(move)
                 report(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
     for (d, xi), ra, rb in zip(a["points"], a["sym"], b["sym"]):
         for name, x, y in zip(SYMMETRY, ra, rb):
             if x != y:
+                if name in ("f1_eval", "f2_eval") and _move(x, y) is not None:
+                    others.append(_move(x, y))
                 report(f"DIFF {name} d={float.fromhex(d)!r} xi={float.fromhex(xi)!r}: {x} != {y}")
     exit_codes = 0
     for i, (x, y) in enumerate(zip(a["cli"], b["cli"])):
         if x != y:
             exit_codes += x[0] != y[0]
+            if _move(x, y) is not None:
+                others.append(_move(x, y))
             report(f"DIFF cli command {i}: {x[:2]} != {y[:2]}")
     n = len(a["rows"])
     n_sym = sum(x is not None for row in a["sym"] for x in row)
@@ -202,10 +221,12 @@ def main(argv) -> int:
     other_routed = sum(x != y for ra, rb in zip(a["rows"], b["rows"])
                        for x, y in zip(ra, rb)) - len(moved)
     values = sum(float.fromhex(x[0]) != float.fromhex(y[0]) for ra, rb in zip(a["rows"], b["rows"])
-                 for x, y in zip(ra, rb) if _routed_move(x, y) is not None)
+                 for x, y in zip(ra, rb) if _move(x, y) is not None)
     print(f"{diffs} differences ({shown} shown); routed: {len(moved)} differ in value or bar "
           f"alone ({values} in value), worst |dvalue|/(bar_a + bar_b) "
           f"{max(moved, default=0.0):.3g}; {other_routed} differ in terms_used, rep or error; "
+          f"f1_eval, f2_eval and CLI evals: {len(others)} differ in value or bar alone, worst "
+          f"|dvalue|/(bar_a + bar_b) {max(others, default=0.0):.3g}; "
           f"CLI exit codes differ in {exit_codes} commands")
     return 1
 
