@@ -3,9 +3,12 @@
 Each serves only an explicit representation, ``casimir verify`` and the
 tests: the (n, m) double sum, the conducting profile as a single sum, the
 mode-sum quadrature, the low- and high-temperature closed forms and the
-thermal-log pressure series.  ``free_energy``'s table imports this module
-on first use, so neither ``import casimir_plates`` nor a routed evaluation
-parses it.  Conventions are those of ``free_energy``.
+thermal-log pressure series.  The closed forms are the kernel's plans cut
+to leading order; the high-T one is the low-T one of the pair inverted by
+the paper's modified TIS (x' = 1/(4 pi^2 x), each half (a, w) ->
+(1/a, w a^4), g -> g, p -> 2 g - p).  ``free_energy``'s
+table imports this module on first use, so neither ``import casimir_plates``
+nor a routed evaluation parses it.  Conventions are those of ``free_energy``.
 """
 from __future__ import annotations
 
@@ -200,24 +203,16 @@ def free_energy_mode_integral(
 
 def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False):
     """(d^3 F, error bar) (pressure: d^4 P) of a plate pair from its low- or
-    high-temperature closed form.
+    high-temperature closed form: the kernel's coth (high: Poisson) plan cut
+    to its monomials and the slowest half's first term at leading order in
+    its tail ratio r (y ~ 2r, z ~ 4r, 1 + y ~ 1), -pi^2 x^2 (x + 1) e^(-1/x)
+    per unit weight of g at x = a xi on the coth plan.  The Poisson plan is
+    the coth plan of the inverted pair, so the high-T form is its low-T one.
 
-    A closed form is the kernel's plan on one route (coth at low, Poisson
-    at high temperature) cut to its monomials and the slowest half's first
-    term at leading order in its tail ratio r: y ~ 2r, z ~ 4r, 1 + y ~ 1.
-    On the coth plan that is -pi^2 x^2 (x + 1) e^(-1/x) per unit weight of
-    the half at x = a xi.  The Poisson plan is the coth plan of the inverted
-    pair, so the high-temperature form is the low-temperature one of that
-    pair, mapped back: -x (1/4 + pi^2 x) e^(-4 pi^2 x) for g and
-    -x (2 + 8 pi^2 x + 16 pi^4 x^2) e^(-4 pi^2 x)/4 for p.  For the Boyer pair
-    the other half's term is the next, dropped, order.
-
-    The bar is the kernel's: each half's series is at most t_1 (1 + q),
-    q = y_1 its tail ratio bound (see :func:`~casimir_plates.free_energy._pair_profile`),
-    less what the closed form keeps of the slowest half's t_1, plus the
-    rounding: (3 rate + 10) eps of the kept term (the rate's rounding enters
-    e^(-rate) times the rate), 4 eps of each monomial and 2 eps |value|.
-    """
+    The bar: each half's series is at most t_1 (1 + y_1), the kernel's tail
+    bound, less what the form keeps of the slowest half's t_1; plus rounding,
+    (3 lam + 10) eps of the kept term (r = e^(-lam)), 4 eps of each monomial
+    and 2 eps |value|."""
     (c0, k0, c1, k1, rate), halves = _PLANS[kind]["poisson" if high else "coth"][pressure]
     bound = 0.0
     try:
@@ -232,10 +227,7 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
             z = h * y
             bound += abs_ws * (a * y + b * z + c * z * (1.0 + y)) * (1.0 + y)
             if not fast:
-                lead = 2.0 * ka * pa + 4.0 * kb * xi2
-                if pressure:
-                    lead += 4.0 * kc * pc
-                kept = ws * lead * r
+                kept = ws * (2.0 * a + 4.0 * b + 4.0 * c) * r
         m0, m1 = c0 * xi**k0, c1 * xi**k1
         value = kept + (m0 + m1)
         err = bound - abs(kept) + _EPS * (
@@ -243,16 +235,13 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
     except OverflowError:
         value = err = math.inf
     if not (math.isfinite(value) and math.isfinite(err)):
-        raise DomainError(
-            f"the {'high' if high else 'low'}-temperature closed form at xi={xi!r} "
-            "overflows the floating-point range"
-        )
+        raise DomainError(f"the {'high' if high else 'low'}-temperature closed form at "
+                          f"xi={xi!r} overflows the floating-point range")
     return value, err
 
 
 def _closed_form(sys: PlateSystem, t: ThermalPoint, high: bool) -> EvalResult:
-    """F/L^2 of the pair from its low- or high-temperature closed form, with
-    its bar: the rows ``low`` and ``high`` of the package's table."""
+    """F/L^2 and its bar from the low- or high-T closed form: rows ``low``, ``high``."""
     value, err = _asymptotic_profile(sys.kind, t.xi, high)
     return EvalResult(*_per_area(value, err, sys.d, 3), 0, "high" if high else "low")
 
@@ -263,10 +252,7 @@ def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
 
 
 def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
-    """Closed-form high-temperature (xi >~ 1) asymptotics, both systems.
-
-    Verified against the Poisson representation over xi in [1, 3].
-    """
+    """Closed-form high-temperature (xi >~ 1) asymptotics, both systems."""
     return _closed_form(sys, t, True).value
 
 
@@ -282,9 +268,8 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
     1e-250: there the difference is not accurate enough to test anything.
     """
     h = 1e-5 * max(xi, 0.01)
-    rate = _PLANS[PlateKind.BOYER_MIXED][route][False][0][4]  # e^(-rate/xi), Poisson e^(-rate xi)
-    if route == "coth":
-        rate /= xi * xi
+    # d/dxi of -rate/xi (coth) or -rate xi (Poisson), the slowest tail ratio's log
+    rate = _PLANS[PlateKind.BOYER_MIXED][route][False][0][4] / (xi * xi if route == "coth" else 1.0)
     if not (xi > h and (h * rate) ** 2 / 6.0 < 1e-7):
         return 0.0
 
@@ -360,13 +345,10 @@ def pressure_thermal_log(
 
 
 def pressure_high_T(t: ThermalPoint, d: float) -> float:
-    """High-temperature (xi >~ 1) closed form of the net pressure,
-    d^4 P = pi^6 xi^4/45 + 3 zeta(3) xi/16
-    + xi (2 + 8 pi^2 xi + 16 pi^4 xi^2) e^(-4 pi^2 xi)/4.
-
-    It is the pressure profile of the high-temperature free energy's closed
-    form.  In physical units the zeta(3) term is 3 zeta(3)/(16 pi d^3 beta);
-    its 1/pi drops out of some printed versions of this asymptote.  It
+    """High-temperature (xi >~ 1) closed form of the net pressure, that of
+    the Boyer pressure plan.  In physical units its zeta(3) term is
+    3 zeta(3)/(16 pi d^3 beta); the 1/pi drops out of some printed
+    versions of this asymptote.  It
     matches the Poisson representation to relative 1e-6 already at
     beta = 0.1, d = 1.
     """

@@ -12,6 +12,10 @@ profile g(x) = a^3 F_c, or p(x) = a^4 P_c = 3 g - x g', from the coth series
 (tail ratio e^(-1/x)) or its Poisson resummation (e^(-4 pi^2 x)); the router
 switches at x = 1/(2 pi), where the two ratios meet.  The Boyer pair is the
 split F = F1(2d) - F2(d): d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
+The paper's modified TIS is the conductors' inversion x' = 1/(4 pi^2 x),
+g -> g and p -> 2 g - p times (2 pi x)^4, taken half by half: a half (a, w)
+at xi is the half (1/a, w a^4) at xi'.  Its coefficients are written once,
+in coth form, and the Poisson route is the coth route of the inverted pair.
 The other representations are independent evaluations, cross-checked
 against the kernel by the tests and by ``casimir verify``; all but the
 lattice sums live in ``forms``.  Like the kernel, each forms the
@@ -257,42 +261,36 @@ def _inverted(c: float, k: int):
 
 def _plan(halves, route: str, p: bool):
     """What :func:`_pair_profile` composes on a route: ((c0, k0, c1, k1,
-    rate), halves), c x^k the pair's monomials combined over its halves,
-    c sum_h w_h a_h^k (exactly 0 for the Boyer pair's zeta(3) x^3), and
-    e^(-rate/xi) (coth) or e^(-rate xi) (Poisson) its slowest tail ratio.
-    A half is ((fast, kA, kB, kC), ws, |ws|): a fast half has twice that
-    rate, and its term n is ws (A y/n^3 + B z/n^2 + C z (1 + y)/n), A = kA xi^3
-    (Poisson: kA xi), B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series.
+    rate), halves), c x^k the pair's monomials combined over its halves
+    (the Boyer pair's zeta(3) x^3 cancels exactly), and e^(-rate/xi) (coth)
+    or e^(-rate xi) (Poisson) its slowest tail ratio.  A half is ((fast, kA,
+    kB, kC), ws, |ws|), a fast one at twice that rate, with term n
+    ws (A y/n^3 + B z/n^2 + C z (1 + y)/n), A = kA xi^3 (Poisson: kA xi),
+    B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series.
 
-    The coth plan of alpha g + beta p has A, B, C = (4 alpha x^3, 2 alpha x^2,
-    -2 beta x) times -pi^2/8, the sign in ws (the kernel sums positive
-    terms).  The Poisson plan is the coth plan of the inverted pair and of
-    (alpha + 2 beta) g - beta p, each term mapped by :func:`_inverted` and
-    the tail rate 1/a' = a by _TIS.
+    On the coth route, alpha g + beta p has (A, B, C) = -pi^2/8 (4 alpha x^3,
+    2 alpha x^2, -2 beta x), the sign in ws.  The Poisson plan is the coth plan
+    of the inverted pair and of (alpha + 2 beta) g - beta p, each term mapped
+    by :func:`_inverted`, and the rate 1/a' = a times _TIS.
     """
     alpha, beta = (0.0, 1.0) if p else (1.0, 0.0)
-    poisson = route == "poisson"
-    if poisson:
+    to_xi = _inverted if route == "poisson" else lambda c, k: (c, k)
+    if route == "poisson":
         halves = tuple((1.0 / a, w * a**4) for a, w in halves)
         alpha, beta = alpha + 2.0 * beta, -beta
-    monomials = [(c * (alpha + beta * (3 - k)) * math.fsum(w * a**k for a, w in halves), k)
-                 for c, k in _MONOMIALS]
+    (c0, k0), (c1, k1) = (
+        to_xi(c * (alpha + beta * (3 - k)) * math.fsum(w * a**k for a, w in halves), k)
+        for c, k in _MONOMIALS)
+    if route == "zero-T":
+        return (c0, k0, c1, k1, 0.0), ()
     slow = max(a for a, _ in halves)
     series = []
     for a, w in halves:
         ks = (4.0 * alpha * a**3, 2.0 * alpha * a**2, -2.0 * beta * a)
         ws = -math.pi**2 / 8.0 * (-w if sum(ks) < 0.0 else w)
-        ks = [abs(k) for k in ks]
-        if poisson:  # A, B, C sit on xi'^3, xi'^2, xi'
-            ks = [_inverted(k, power)[0] for k, power in zip(ks, (3, 2, 1))]
+        ks = (to_xi(abs(k), power)[0] for k, power in zip(ks, (3, 2, 1)))  # on x^3, x^2, x
         series.append(((a != slow, *ks), ws, abs(ws)))
-    rate = 1.0 / slow
-    if poisson:
-        monomials = [_inverted(c, k) for c, k in monomials]
-        rate *= _TIS
-    (c0, k0), (c1, k1) = monomials
-    if route == "zero-T":
-        return (c0, k0, c1, k1, 0.0), ()
+    rate = 1.0 / slow * (_TIS if route == "poisson" else 1.0)
     return (c0, k0, c1, k1, rate), tuple(series)
 
 
@@ -317,9 +315,8 @@ def _pair_profile(
     Series.  With r = e^(-2v), v = n/(2x), D = 1 - r, y = coth v - 1 = 2r/D
     and z = csch^2 v = 2y/D the conducting profile's coth terms are
       g: (4x^3 y/n + 2x^2 z)/n^2     p: x z (1 + y)/n
-    (times -pi^2/8 and pi^2/4).  The Poisson route is the coth route of the
-    inverted pair (:func:`_plan`), so its terms are these at
-    x' = 1/(4 pi^2 x), mapped back.
+    (times -pi^2/8 and pi^2/4); the Poisson route is the coth route of the
+    inverted pair (:func:`_plan`), at x' = 1/(4 pi^2 x).
     They need r_n = r_1^n, r_1 = e^(-rate), rate = 1/x or 4 pi^2 x.  One
     exp gives the slowest half's r_1, the other half's is its square, and
     each half runs r_n = r_(n-1) r_1, with D_n = 1 - r_n while r_n < 1/2
@@ -547,9 +544,8 @@ _BOTH = frozenset(PlateKind)
 _BOYER = frozenset((PlateKind.BOYER_MIXED,))
 # The one table of what the package serves: each (quantity, representation)
 # row is (evaluator(sys, xi, ctl) -> EvalResult, the plate kinds it serves),
-# and a missing row or kind is the refusal (_evaluator).  A row of a
-# validation representation reaches ``forms`` only when it is called.  pressure.py, which
-# builds on this module, adds the pressure row: routed, and Boyer only.
+# and a missing row or kind is the refusal (_evaluator).  A validation row
+# loads ``forms`` when called; pressure.py adds the pressure row.
 _SERVED = {
     ("free_energy", "auto"): (free_energy_auto, _BOTH),
     ("free_energy", "coth"): (lambda sys, xi, ctl: _pair(sys, xi, "coth", ctl), _BOTH),

@@ -3,7 +3,9 @@
 Positive pressure means repulsion (the plates are pushed apart).  The
 routed forms compose the conductor kernel's pressure profile,
 d^4 P = p(2 xi)/8 - p(xi) with p = 3 g - x g', on its coth route
-(``dfdxi``) or its Poisson route (``poisson``).  The thermal-log series,
+(``dfdxi``) or its Poisson route (``poisson``), the coth route of the
+pair inverted by the paper's modified TIS (x' = 1/(4 pi^2 x), each half
+(a, w) -> (1/a, w a^4), g -> g, p -> 2 g - p).  The thermal-log series,
 an independent evaluation, and the high-temperature closed form live in
 ``forms``.  The relation P = 3F - xi dF/dxi between the composed pressure
 and free energy holds by construction of the profiles, so it is checked
@@ -59,10 +61,9 @@ def pressure_net_dfdxi(
 def pressure_poisson(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """All-temperature net pressure from the kernel's Poisson series:
-    d^4 P = p(2 xi)/8 - p(xi) with
-    p = pi^6 x^4/45 - zeta(3) x/4 - (1/4) sum_m [...]/m^3.  Below
-    xi = 0.05 it is the Poisson route's SlowConvergenceError."""
+    """All-temperature net pressure from the kernel's Poisson series,
+    d^4 P = p(2 xi)/8 - p(xi).  Below xi = 0.05 it is the Poisson route's
+    SlowConvergenceError."""
     return _pair(PlateSystem(d), t.xi, "poisson", ctl, True)
 
 

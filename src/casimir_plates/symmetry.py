@@ -1,16 +1,15 @@
 """Temperature-inversion symmetry (TIS) machinery.
 
-The Boyer free energy splits as F = F1 - F2, where F1 and F2 are
-conducting-pair free energies at separations 2d and d.  Each of those
-obeys an exact inversion relation connecting low and high temperature;
-the Boyer combination itself does not, because its boundary conditions
-are not symmetric under the inversion.  ``free_energy`` composes the
-production values from this split, and this module exposes its halves
-from the same kernel (``casimir verify`` checks the kernel against the
-lattice sums), the residuals of the inversion relations, the two
-summation identities used to derive them, and the two classic applications
-(Stefan-Boltzmann term to zero-temperature energy, and the high-T to low-T
-mapping).
+The Boyer free energy splits as F = F1 - F2, conducting-pair free
+energies at separations 2d and d.  Each obeys the conductors' inversion,
+x' = 1/(4 pi^2 x), g -> g and p -> 2 g - p times (2 pi x)^4, and the paper's
+modified TIS maps each half (a, w) to (1/a, w a^4): the Boyer pair's image
+is another pair, so F itself does not transform.  This module exposes the
+halves from the kernel (``casimir verify`` checks it against the lattice
+sums), the residuals of the inversion, the two summation identities behind
+it, and its two classic applications (Stefan-Boltzmann term to
+zero-temperature energy, and the high-T to low-T mapping), computed
+through ``free_energy._inverted``.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ XI_FIXED_F2 = 1.0 / (2.0 * math.pi)
 XI_FIXED_NONTRIVIAL = 1.0 / (2.0 * math.pi)
 
 
-# separations of the halves F1 and F2, in units of d
-(_A1, _), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
+# the halves F1 and F2: separations in units of d, and weights
+(_A1, _W1), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
 
 
 def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None) -> EvalResult:
@@ -92,10 +91,8 @@ def f2_eval(xi: float, d: float, ctl: SeriesControl | None = None) -> EvalResult
 
 def _inversion_residual(f, xi: float, c: float) -> float:
     """Relative residual of the inversion (c xi)^4 f(1/(c^2 xi)) = f(xi),
-    whose self-dual point is xi = 1/c (Brown and Maclay, Phys. Rev. 184,
-    1272 (1969), in this module's variable).  A xi that is not finite and
-    positive, or whose image or scale (c xi)^4 leaves the float range, is a
-    DomainError."""
+    self-dual at xi = 1/c.  A xi that is not finite and positive, or whose
+    image or scale (c xi)^4 leaves the float range, is a DomainError."""
     if not 0.0 < xi <= _MAX:
         raise DomainError(f"the inversion residual requires finite xi > 0, got {xi!r}")
     try:
@@ -135,11 +132,9 @@ def tis_residual_nontrivial(xi: float, ctl: SeriesControl | None = None) -> floa
 
 def tis_residual_boyer_naive(xi: float, d: float, ctl: SeriesControl | None = None) -> float:
     """Residual of the naive relation (2 pi xi)^4 F(1/(4 pi^2 xi)) = F(xi)
-    applied to the Boyer free energy itself.
-
-    This relation FAILS (residual of order one): the mixed pair's
-    boundary conditions are not symmetric under temperature inversion.
-    Only the conducting halves F1 and F2 transform covariantly.
+    applied to the Boyer free energy itself.  It FAILS (residual of order
+    one): the inversion maps the Boyer pair's halves onto another pair;
+    only the conducting halves F1 and F2 transform covariantly.
     """
     sys = PlateSystem(d)
     return _inversion_residual(lambda x: free_energy_auto(sys, x, ctl).value, xi, 2.0 * math.pi)
@@ -167,12 +162,7 @@ def identity_alternating(b: float, ctl: SeriesControl | None = None):
     s, _, _ = sum_until(term, tail, ctl, "identity_alternating")
     lhs = math.fsum((1.0 / b2**2, s))
     u = math.pi * b
-    rhs = (
-        math.pi**2
-        * (1.0 / u + coth_stable(u))
-        * inv_sinh_stable(u)
-        / (2.0 * b2)
-    )
+    rhs = math.pi**2 * (1.0 / u + coth_stable(u)) * inv_sinh_stable(u) / (2.0 * b2)
     return lhs, rhs
 
 
@@ -198,48 +188,30 @@ def identity_plain(b: float, ctl: SeriesControl | None = None):
 def sb_to_casimir() -> dict:
     """Zero-temperature Casimir energy from the Stefan-Boltzmann limits.
 
-    The conducting profile's high-temperature monomial -pi^6 x^4/45, mapped
-    through the inversion (``free_energy._inverted``), is its zero-temperature
-    value g(0) = -pi^2/720.  Each conducting half at separation a d has
-    F(0) = g(0)/(a d)^3; at d = 1 that gives F1(0) = -pi^2/5760 and
-    F2(0) = -pi^2/720, whose difference is the (7/8) pi^2/720 repulsive
-    Boyer energy.
+    The conducting pair's high-T monomial -pi^6 x^4/45, inverted, is its
+    zero-T g(0) = -pi^2/720, and a conducting half at separation a d has
+    F(0) = g(0)/(a d)^3: at d = 1, F1(0) = -pi^2/5760 and F2(0) = -pi^2/720,
+    whose difference is the (7/8) pi^2/720 repulsive Boyer energy.
     """
-    (c_sb, k_sb, _, _, _), _ = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
-    g0, _ = _inverted(c_sb, k_sb)
+    g0, _ = _inverted(*_PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False][0][:2])
     f1_zero, f2_zero = g0 / _A1**3, g0 / _A2**3
-    return {
-        "f1_zero_T": f1_zero,
-        "f2_zero_T": f2_zero,
-        "boyer_zero_T_from_TIS": f1_zero - f2_zero,
-        "direct": zero_temperature_energy(PlateSystem(1.0)),
-    }
+    return {"f1_zero_T": f1_zero, "f2_zero_T": f2_zero, "boyer_zero_T_from_TIS": f1_zero - f2_zero,
+            "direct": zero_temperature_energy(PlateSystem(1.0))}
 
 
 def low_T_from_high_T(xi: float) -> dict:
-    """Low-temperature Boyer free energy obtained by mapping the conducting
-    halves' high-temperature closed forms through the inversion (d = 1).
-
-    Each half (a, w) is w g(x) at x = a xi, and g(x) = (2 pi x)^4 g(x'),
-    x' = 1/(4 pi^2 x); at low temperature x' is large, where g is its
-    high-temperature form: the monomials c x'^k and the exponential
-    ws (2 kA x' + 4 kB x'^2) e^(-rate x') of the conducting pair's Poisson
-    plan.  ``free_energy._inverted`` maps each term c x'^k to c' x^(4-k),
-    and e^(-rate x') is e^(-(rate/4 pi^2)/x).  As in the direct low-temperature
-    form only the slowest half keeps its exponential, so both are the same
-    orders.  The direct form comes first: it rejects a xi that is not
-    finite and positive, and is a DomainError wherever its x^3 overflows.
-    """
+    """Low-temperature Boyer free energy (d = 1) from the conducting halves'
+    high-T closed forms at x' = 1/(4 pi^2 x), x = a xi: the conducting
+    Poisson plan's monomials and ws (2 kA x' + 4 kB x'^2) e^(-rate x'), each
+    term c x'^k inverted to c' x^(4 - k).  Only the slowest half keeps its
+    exponential, as in the direct low-T form, which comes first: it rejects
+    a xi that is not finite and positive or whose x^3 overflows."""
     direct = free_energy_low_T(PlateSystem(1.0), ThermalPoint(xi))
-    (c0, k0, c1, k1, rate), halves = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
-    ((_, ka, kb, _), ws, _), = halves
-    monomials = (_inverted(c0, k0), _inverted(c1, k1))
-    lead = (_inverted(2.0 * ws * ka, 1), _inverted(4.0 * ws * kb, 2))
-    slow = max(a for a, _ in _HALVES[PlateKind.BOYER_MIXED])
-    parts = []
-    for a, w in _HALVES[PlateKind.BOYER_MIXED]:
-        x = a * xi
-        parts += [w * c * x**k for c, k in monomials]
-        if a == slow:
-            parts += [w * c * x**k * math.exp(-rate / _TIS / x) for c, k in lead]
+    (c0, k0, c1, k1, rate), (((_, ka, kb, _), ws, _),) = _PLANS[
+        PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
+    parts = [w * c * (a * xi) ** k for a, w in _HALVES[PlateKind.BOYER_MIXED]
+             for c, k in (_inverted(c0, k0), _inverted(c1, k1))]
+    x = _A1 * xi  # the slowest half
+    parts += [_W1 * c * x**k * math.exp(-rate / _TIS / x)
+              for c, k in (_inverted(2.0 * ws * ka, 1), _inverted(4.0 * ws * kb, 2))]
     return {"mapped": math.fsum(parts), "direct_low_T": direct}
