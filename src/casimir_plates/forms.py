@@ -6,9 +6,9 @@ mode-sum quadrature, the low- and high-temperature closed forms and the
 thermal-log pressure series.  The closed forms are the kernel's plans cut
 to leading order; the high-T one is the low-T one of the pair inverted by
 the paper's modified TIS (x' = 1/(4 pi^2 x), each half (a, w) ->
-(1/a, w a^4), g -> g, p -> 2 g - p).  ``free_energy``'s
-table imports this module on first use, so neither ``import casimir_plates``
-nor a routed evaluation parses it.  Conventions are those of ``free_energy``.
+(1/a, w a^4), g -> g, p -> 2 g - p).  ``free_energy``'s table imports this
+module on first use, so neither ``import casimir_plates`` nor a routed
+evaluation parses it.  Conventions are those of ``free_energy``.
 """
 from __future__ import annotations
 
@@ -268,7 +268,6 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
     1e-250: there the difference is not accurate enough to test anything.
     """
     h = 1e-5 * max(xi, 0.01)
-    # d/dxi of -rate/xi (coth) or -rate xi (Poisson), the slowest tail ratio's log
     rate = _PLANS[PlateKind.BOYER_MIXED][route][False][0][4] / (xi * xi if route == "coth" else 1.0)
     if not (xi > h and (h * rate) ** 2 / 6.0 < 1e-7):
         return 0.0
@@ -347,10 +346,9 @@ def pressure_thermal_log(
 def pressure_high_T(t: ThermalPoint, d: float) -> float:
     """High-temperature (xi >~ 1) closed form of the net pressure, that of
     the Boyer pressure plan.  In physical units its zeta(3) term is
-    3 zeta(3)/(16 pi d^3 beta); the 1/pi drops out of some printed
-    versions of this asymptote.  It
-    matches the Poisson representation to relative 1e-6 already at
-    beta = 0.1, d = 1.
+    3 zeta(3)/(16 pi d^3 beta); the 1/pi drops out of some printed versions
+    of this asymptote.  It matches the Poisson representation to relative
+    1e-6 already at beta = 0.1, d = 1.
     """
     _require_separation(d)
     value, _ = _asymptotic_profile(PlateKind.BOYER_MIXED, t.xi, True, True)

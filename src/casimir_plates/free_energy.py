@@ -246,11 +246,8 @@ _HALVES = {
     PlateKind.BOYER_MIXED: ((2.0, 0.125), (1.0, -1.0)),
     PlateKind.CONDUCTOR_CONDUCTOR: ((1.0, 1.0),),
 }
-# The paper's modified TIS: the conductors' temperature inversion (Brown and
-# Maclay, Phys. Rev. 184, 1272 (1969)), with x' = 1/(4 pi^2 x),
-#   g(x) = (2 pi x)^4 g(x'),   p(x) = (2 pi x)^4 (2 g - p)(x'),
-# applied to each conducting half of a pair: the half (a, w) at xi is the
-# half (1/a, w a^4) at xi', so the Boyer pair's image is (1/2, 2), (1, -1).
+# the inversion of the module docstring (Brown and Maclay, Phys. Rev. 184,
+# 1272 (1969)); the Boyer pair's image is (1/2, 2), (1, -1), another pair
 _TIS = 4.0 * math.pi**2
 
 

@@ -20,6 +20,7 @@ from .epstein import EpsteinParams, epstein_direct
 from .errors import DomainError
 from .forms import free_energy_low_T
 from .free_energy import (
+    _COTH_POISSON_SPLIT,
     _HALVES,
     _MAX,
     _PLANS,
@@ -58,15 +59,12 @@ __all__ = [
 
 _FLOOR = 1e-300
 
-# self-dual points of the three inversion maps, pinned in the tests as
-# exact-identity anchors
-XI_FIXED_F1 = 1.0 / (4.0 * math.pi)
-XI_FIXED_F2 = 1.0 / (2.0 * math.pi)
-XI_FIXED_NONTRIVIAL = 1.0 / (2.0 * math.pi)
-
-
 # the halves F1 and F2: separations in units of d, and weights
 (_A1, _W1), (_A2, _) = _HALVES[PlateKind.BOYER_MIXED]
+# self-dual points of the inversion, x = 1/(2 pi) at x = a xi, pinned in
+# the tests as exact-identity anchors
+XI_FIXED_F2 = XI_FIXED_NONTRIVIAL = _COTH_POISSON_SPLIT
+XI_FIXED_F1 = XI_FIXED_F2 / _A1
 
 
 def _conducting_half(a: float, xi: float, d: float, ctl: SeriesControl | None) -> EvalResult:
@@ -122,10 +120,8 @@ def tis_residual_nontrivial(xi: float, ctl: SeriesControl | None = None) -> floa
     non-trivial part of the conducting profile.
 
     In the variable used by Brown and Maclay (pi times the one used
-    here) the inversion reads xi -> 1/(4 xi); translating to this
-    module's convention gives the image 1/(4 pi^2 xi) and the self-dual
-    point 1/(2 pi).  A version of the map lacking one factor of pi
-    circulates in print; it fails numerically at order one.
+    here) the inversion reads xi -> 1/(4 xi).  A version of the map
+    lacking one factor of pi circulates in print; it fails at order one.
     """
     return _inversion_residual(lambda x: f_nontrivial(x, ctl).value, xi, 2.0 * math.pi)
 
@@ -162,7 +158,12 @@ def identity_alternating(b: float, ctl: SeriesControl | None = None):
     s, _, _ = sum_until(term, tail, ctl, "identity_alternating")
     lhs = math.fsum((1.0 / b2**2, s))
     u = math.pi * b
-    rhs = math.pi**2 * (1.0 / u + coth_stable(u)) * inv_sinh_stable(u) / (2.0 * b2)
+    rhs = (
+        math.pi**2
+        * (1.0 / u + coth_stable(u))
+        * inv_sinh_stable(u)
+        / (2.0 * b2)
+    )
     return lhs, rhs
 
 
