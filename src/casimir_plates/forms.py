@@ -1,14 +1,14 @@
 """The validation representations of free energy and pressure.
 
 Each serves only an explicit representation, ``casimir verify`` and the
-tests: the (n, m) double sum, the conducting profile as a single sum, the
-mode-sum quadrature, the low- and high-temperature closed forms and the
-thermal-log pressure series.  The closed forms are the kernel's plans cut
-to leading order; the high-T one is the low-T one of the pair inverted by
-the paper's modified TIS (x' = 1/(4 pi^2 x), each half (a, w) ->
-(1/a, w a^4), g -> g, p -> 2 g - p).  ``free_energy``'s table imports this
-module on first use, so neither ``import casimir_plates`` nor a routed
-evaluation parses it.  Conventions are those of ``free_energy``.
+tests: the (n, m) double sum, the mode-sum quadrature, the low- and
+high-temperature closed forms of both quantities (the table's ``low`` and
+``high`` rows) and the thermal-log pressure series.  The closed forms are
+the kernel's plans cut to leading order; the high-T one is the low-T one of
+the pair inverted by the paper's modified TIS (x' = 1/(4 pi^2 x), each half
+(a, w) -> (1/a, w a^4), g -> g, p -> 2 g - p).  ``free_energy``'s table
+imports this module on first use, so neither ``import casimir_plates`` nor
+a routed evaluation parses it.  Conventions are those of ``free_energy``.
 """
 from __future__ import annotations
 
@@ -35,8 +35,7 @@ from .free_energy import (
     _require_separation,
 )
 
-__all__ = ["f_scaled_double", "f_conducting_single", "free_energy_mode_integral",
-           "free_energy_low_T", "free_energy_high_T", "pressure_thermal_log", "pressure_high_T"]
+__all__ = ["f_scaled_double", "free_energy_mode_integral", "pressure_thermal_log"]
 
 
 def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -119,18 +118,6 @@ def _double(sys: PlateSystem, xi: float, ctl: SeriesControl | None) -> EvalResul
     # of the d^-3 scaling, as in _pair_profile
     err = q * f.abs_err_est + 4.0 * _EPS * (abs(g0) + q * abs(f.value)) + 2.0 * _EPS * abs(value)
     return EvalResult(*_per_area(value, err, sys.d, 3), f.terms_used, f.rep)
-
-
-def f_conducting_single(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
-    """Dimensionless conducting-plate free energy d^3 F/L^2 as a single sum.
-
-    Same quantity as :func:`~casimir_plates.free_energy.f_conducting_lattice`,
-    through the kernel's coth series, which converges exponentially at any xi.
-    """
-    if not 0.0 < xi <= _MAX:
-        raise DomainError(f"f_conducting_single requires finite xi > 0, got {xi!r}")
-    value, _, err, terms = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, xi, "coth", False, ctl)
-    return EvalResult(value, err, terms, "coth")
 
 
 # absolute tolerance of each quadrature, and the relative size of the last
@@ -240,20 +227,14 @@ def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool =
     return value, err
 
 
-def _closed_form(sys: PlateSystem, t: ThermalPoint, high: bool) -> EvalResult:
-    """F/L^2 and its bar from the low- or high-T closed form: rows ``low``, ``high``."""
-    value, err = _asymptotic_profile(sys.kind, t.xi, high)
-    return EvalResult(*_per_area(value, err, sys.d, 3), 0, "high" if high else "low")
-
-
-def free_energy_low_T(sys: PlateSystem, t: ThermalPoint) -> float:
-    """Closed-form low-temperature (xi <~ 0.1) asymptotics, both systems."""
-    return _closed_form(sys, t, False).value
-
-
-def free_energy_high_T(sys: PlateSystem, t: ThermalPoint) -> float:
-    """Closed-form high-temperature (xi >~ 1) asymptotics, both systems."""
-    return _closed_form(sys, t, True).value
+def _closed_form(sys: PlateSystem, xi: float, high: bool, pressure: bool = False) -> EvalResult:
+    """F/L^2 (pressure: P) and its bar from the low- or high-T closed form:
+    the rows ``low`` and ``high`` of both quantities.  In physical units the
+    Boyer pressure's high-T zeta(3) term is 3 zeta(3)/(16 pi d^3 beta); the
+    1/pi drops out of some printed versions of that asymptote."""
+    value, err = _asymptotic_profile(sys.kind, xi, high, pressure)
+    return EvalResult(*_per_area(value, err, sys.d, 4 if pressure else 3), 0,
+                      "high" if high else "low")
 
 
 def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = None) -> float:
@@ -341,15 +322,3 @@ def pressure_thermal_log(
     err = q * (bound + _EPS * rounding) + 5.0 * _EPS * abs(value)
     value, err = _per_area(value, err, d, 4)
     return EvalResult(value, err, n, "thermal-log")
-
-
-def pressure_high_T(t: ThermalPoint, d: float) -> float:
-    """High-temperature (xi >~ 1) closed form of the net pressure, that of
-    the Boyer pressure plan.  In physical units its zeta(3) term is
-    3 zeta(3)/(16 pi d^3 beta); the 1/pi drops out of some printed versions
-    of this asymptote.  It matches the Poisson representation to relative
-    1e-6 already at beta = 0.1, d = 1.
-    """
-    _require_separation(d)
-    value, _ = _asymptotic_profile(PlateKind.BOYER_MIXED, t.xi, True, True)
-    return _per_area(value, 0.0, d, 4)[0]

@@ -171,7 +171,9 @@ class ThermalPoint(_record("ThermalPoint", "xi")):
 
     @classmethod
     def from_xi(cls, xi: float, d: float) -> "ThermalPoint":
-        """The point at scaled temperature xi; it does not depend on d."""
+        """The point at scaled temperature xi; it does not depend on d.  Kept
+        because ``benchmarks/child.py`` calls it; ``ThermalPoint(xi)`` is the
+        same point."""
         return cls(xi)
 
 
@@ -542,32 +544,31 @@ _BOYER = frozenset((PlateKind.BOYER_MIXED,))
 # The one table of what the package serves: each (quantity, representation)
 # row is (evaluator(sys, xi, ctl) -> EvalResult, the plate kinds it serves),
 # and a missing row or kind is the refusal (_evaluator).  A validation row
-# loads ``forms`` when called; pressure.py adds the pressure row.
+# loads ``forms`` when called; pressure.py adds the pressure rows.
 _SERVED = {
     ("free_energy", "auto"): (free_energy_auto, _BOTH),
     ("free_energy", "coth"): (lambda sys, xi, ctl: _pair(sys, xi, "coth", ctl), _BOTH),
     ("free_energy", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl), _BOTH),
     ("free_energy", "lattice"): (
         lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
-    ("free_energy", "low"): (
-        lambda sys, xi, ctl: _forms()._closed_form(sys, ThermalPoint(xi), False), _BOTH),
-    ("free_energy", "high"): (
-        lambda sys, xi, ctl: _forms()._closed_form(sys, ThermalPoint(xi), True), _BOTH),
+    ("free_energy", "low"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, False), _BOTH),
+    ("free_energy", "high"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, True), _BOTH),
     ("free_energy", "double"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
-    ("free_energy", "bessel"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
     ("free_energy", "mode-integral"): (lambda sys, xi, ctl: _forms().free_energy_mode_integral(
         sys, ThermalPoint(xi), ctl), _BOYER),
 }
+# an alias: the Macdonald-function sum is the double sum term for term
+_SERVED["free_energy", "bessel"] = _SERVED["free_energy", "double"]
 
 
 def _evaluator(quantity: str, rep: RepresentationKind | str, kind: PlateKind, xi: float):
     """The evaluator of ``quantity`` in ``rep`` for the pair ``kind`` at xi
     from :data:`_SERVED`, or an UnsupportedRepresentationError naming all
     three.  At a zero-T xi (:func:`_route`), where every thermal part is 0,
-    each free-energy representation is the routed one, for both pairs."""
+    each row of either quantity is its routed row, ``auto``."""
     try:
         evaluator, kinds = _SERVED[quantity, rep]
-        if quantity == "free_energy" and _route(xi) == "zero-T":
+        if _route(xi) == "zero-T":
             evaluator, kinds = _SERVED[quantity, "auto"]
     except (KeyError, TypeError):  # no row, or a key that cannot be one
         evaluator, kinds = None, ()

@@ -1,17 +1,18 @@
 """Net Casimir pressure on the mixed conducting/permeable plate pair.
 
 Positive pressure means repulsion (the plates are pushed apart).  The
-routed forms compose the conductor kernel's pressure profile,
-d^4 P = p(2 xi)/8 - p(xi) with p = 3 g - x g', on its coth route
-(``dfdxi``) or its Poisson route (``poisson``), the coth route of the
-pair inverted by the paper's modified TIS (x' = 1/(4 pi^2 x), each half
-(a, w) -> (1/a, w a^4), g -> g, p -> 2 g - p).  The thermal-log series,
-an independent evaluation, and the high-temperature closed form live in
-``forms``.  The relation P = 3F - xi dF/dxi between the composed pressure
-and free energy holds by construction of the profiles, so it is checked
-once in ``casimir verify`` (``forms._thermodynamic_residual``), not on
-every call; so is the agreement of the routed pressure with the
-thermal-log series.
+pressure's rows of the table ``free_energy._SERVED``, Boyer only, are
+``auto`` (routed), ``coth`` (reported as ``dfdxi``) and ``poisson``, the
+kernel's pressure profile d^4 P = p(2 xi)/8 - p(xi) with p = 3 g - x g' on
+either route, and ``low`` and ``high``, its closed forms in ``forms``.
+The Poisson route is the coth route of the pair inverted by the paper's
+modified TIS (x' = 1/(4 pi^2 x), each half (a, w) -> (1/a, w a^4),
+g -> g, p -> 2 g - p).  The thermal-log series, an independent
+evaluation, lives in ``forms``.  The relation P = 3F - xi dF/dxi between
+the composed pressure and free energy holds by construction of the
+profiles, so it is checked once in ``casimir verify``
+(``forms._thermodynamic_residual``), not on every call; so is the
+agreement of the routed pressure with the thermal-log series.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .free_energy import (
     PlateSystem,
     SeriesControl,
     ThermalPoint,
+    _forms,
     _pair,
     _pair_profile,
     _require_boyer,
@@ -53,17 +55,18 @@ def pressure_zero_T(sys: PlateSystem) -> float:
 def pressure_net_dfdxi(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """Net pressure from the kernel's coth series, the xi-derivative form:
-    d^4 P = p(2 xi)/8 - p(xi), p = -pi^2/240 + (pi^2 x/4) sum coth csch^2/n."""
+    """The row ('pressure', 'coth') at t and d.  Kept because
+    ``benchmarks/child.py`` times it by name; the package reaches the row
+    through the table."""
     return _pair(PlateSystem(d), t.xi, "coth", ctl, True, "dfdxi")
 
 
 def pressure_poisson(
     t: ThermalPoint, d: float, ctl: SeriesControl | None = None
 ) -> EvalResult:
-    """All-temperature net pressure from the kernel's Poisson series,
-    d^4 P = p(2 xi)/8 - p(xi).  Below xi = 0.05 it is the Poisson route's
-    SlowConvergenceError."""
+    """The row ('pressure', 'poisson') at t and d, refused below xi = 0.05.
+    Kept because ``benchmarks/child.py`` times it by name; the package
+    reaches the row through the table."""
     return _pair(PlateSystem(d), t.xi, "poisson", ctl, True)
 
 
@@ -83,5 +86,12 @@ def pressure_auto(d: float, xi: float, ctl: SeriesControl | None = None) -> Eval
     return tuple.__new__(EvalResult, (value, err, terms, "dfdxi" if route == "coth" else route))
 
 
-# the table's pressure row (see free_energy._SERVED): routed, and Boyer only
-_SERVED["pressure", "auto"] = (lambda sys, xi, ctl: pressure_auto(sys.d, xi, ctl), _BOYER)
+# the table's pressure rows (see free_energy._SERVED), Boyer only; a
+# closed-form row loads ``forms`` when called
+_SERVED.update({
+    ("pressure", "auto"): (lambda sys, xi, ctl: pressure_auto(sys.d, xi, ctl), _BOYER),
+    ("pressure", "coth"): (lambda sys, xi, ctl: _pair(sys, xi, "coth", ctl, True, "dfdxi"), _BOYER),
+    ("pressure", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl, True), _BOYER),
+    ("pressure", "low"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, False, True), _BOYER),
+    ("pressure", "high"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, True, True), _BOYER),
+})

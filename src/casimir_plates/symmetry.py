@@ -18,7 +18,6 @@ import math
 
 from .epstein import EpsteinParams, epstein_direct
 from .errors import DomainError
-from .forms import free_energy_low_T
 from .free_energy import (
     _COTH_POISSON_SPLIT,
     _HALVES,
@@ -205,9 +204,10 @@ def low_T_from_high_T(xi: float) -> dict:
     high-T closed forms at x' = 1/(4 pi^2 x), x = a xi: the conducting
     Poisson plan's monomials and ws (2 kA x' + 4 kB x'^2) e^(-rate x'), each
     term c x'^k inverted to c' x^(4 - k).  Only the slowest half keeps its
-    exponential, as in the direct low-T form, which comes first: it rejects
-    a xi that is not finite and positive or whose x^3 overflows."""
-    direct = free_energy_low_T(PlateSystem(1.0), ThermalPoint(xi))
+    exponential, as in the direct low-T form, the table's row ('free_energy',
+    'low'), which comes first: it rejects a xi that is not finite and
+    positive or whose x^3 overflows."""
+    direct = evaluate_free_energy(PlateSystem(1.0), ThermalPoint(xi), None, "low").value
     (c0, k0, c1, k1, rate), (((_, ka, kb, _), ws, _),) = _PLANS[
         PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
     parts = [w * c * (a * xi) ** k for a, w in _HALVES[PlateKind.BOYER_MIXED]

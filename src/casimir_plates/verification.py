@@ -3,7 +3,9 @@
 Each check compares independently computed quantities and reports a
 measured residual against a fixed tolerance.  ``run_all`` executes the
 whole battery and returns the individual results; the CLI renders them
-as a pass/fail table.
+as a pass/fail table.  The kernel's routes and the closed forms of both
+quantities are reached through the table ``free_energy._SERVED``, as the
+command line reaches them.
 """
 
 from __future__ import annotations
@@ -15,20 +17,9 @@ from typing import Callable
 from . import free_energy as fe
 from .epstein import EpsteinParams, epstein2_continued, epstein_direct
 from .errors import CasimirError
-from .forms import (
-    _thermodynamic_residual,
-    f_conducting_single,
-    pressure_high_T,
-    pressure_thermal_log,
-)
-from .free_energy import (
-    PlateSystem,
-    ThermalPoint,
-    evaluate_free_energy,
-    f_conducting_lattice,
-    free_energy_auto,
-)
-from .pressure import pressure_auto, pressure_net_dfdxi, pressure_poisson, pressure_zero_T
+from .forms import _thermodynamic_residual, pressure_thermal_log
+from .free_energy import EvalResult, PlateSystem, ThermalPoint, f_conducting_lattice
+from .pressure import pressure_zero_T
 from .specfun import SeriesControl
 from .symmetry import (
     XI_FIXED_F1,
@@ -65,26 +56,31 @@ _KERNEL_VS_LATTICE_X = (
     0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 1.0 / (2.0 * math.pi),
     *(1.0 / (c * math.pi**2) for c in (0.4, 0.8, 2.0, 4.0, 8.0, 16.0)),
 )
+# the two plate pairs at d = 1
+_BOYER_PAIR, _CONDUCTOR_PAIR = PlateSystem(1.0), PlateSystem(1.0, "conductor")
 
 
 def _check(name: str, residual: float, tol: float) -> Check:
     return Check(name, residual, tol, residual <= tol)
 
 
+def _row(quantity: str, rep: str, sys: PlateSystem, xi: float) -> EvalResult:
+    """The table's row (quantity, rep) for the pair sys at xi."""
+    return fe._evaluator(quantity, rep, sys.kind, xi)(sys, xi, _CTL)
+
+
 def _representation_equivalence(grid, out: list):
-    sys = PlateSystem(1.0)
     tolerances = {"double": 1e-8, "poisson": 1e-8, "mode-integral": 1e-6, "lattice": 1e-5}
     dev = dict.fromkeys(tolerances, 0.0)
     for xi in grid:
-        t = ThermalPoint(xi)
-        ref = evaluate_free_energy(sys, t, _CTL, "coth").value
+        ref = _row("free_energy", "coth", _BOYER_PAIR, xi).value
         for rep in dev:
             if rep != "poisson" or xi >= 0.1:
-                dev[rep] = max(dev[rep], abs(evaluate_free_energy(sys, t, _CTL, rep).value - ref))
+                dev[rep] = max(dev[rep], abs(_row("free_energy", rep, _BOYER_PAIR, xi).value - ref))
     for rep, tol in tolerances.items():
         out.append(_check(f"equivalence/{rep}-vs-coth", dev[rep], tol))
     # the conducting pair's two kernel routes, which the router switches between
-    cond = [evaluate_free_energy(PlateSystem(1.0, "conductor"), ThermalPoint(xi), _CTL, rep).value
+    cond = [_row("free_energy", rep, _CONDUCTOR_PAIR, xi).value
             for xi in grid for rep in ("poisson", "coth")]
     worst = max(abs(a - b) for a, b in zip(cond[::2], cond[1::2]))
     out.append(_check("equivalence/conductor-poisson-vs-coth", worst, 1e-8))
@@ -122,9 +118,8 @@ def _pressure(grid, out: list):
     for xi in grid:
         if xi < fe._POISSON_XI_FLOOR:
             continue
-        t = ThermalPoint(xi)
-        a = pressure_net_dfdxi(t, 1.0, _CTL).value
-        b = pressure_poisson(t, 1.0, _CTL).value
+        a = _row("pressure", "coth", _BOYER_PAIR, xi).value
+        b = _row("pressure", "poisson", _BOYER_PAIR, xi).value
         worst_pair = max(worst_pair, abs(a - b))
     out.append(_check("pressure/dfdxi-vs-poisson", worst_pair, 1e-8))
     worst_fd = 0.0
@@ -134,13 +129,13 @@ def _pressure(grid, out: list):
             continue
         beta = d / (math.pi * xi)
         h = 1e-5 * d
-        fp = free_energy_auto(PlateSystem(d + h), (d + h) / (math.pi * beta), _CTL).value
-        fm = free_energy_auto(PlateSystem(d - h), (d - h) / (math.pi * beta), _CTL).value
-        p = pressure_auto(d, xi, _CTL).value
+        fp = _row("free_energy", "auto", PlateSystem(d + h), (d + h) / (math.pi * beta)).value
+        fm = _row("free_energy", "auto", PlateSystem(d - h), (d - h) / (math.pi * beta)).value
+        p = _row("pressure", "auto", _BOYER_PAIR, xi).value
         worst_fd = max(worst_fd, abs(p + (fp - fm) / (2.0 * h)) / abs(p))
     out.append(_check("pressure/energy-consistency", worst_fd, 1e-5))
-    t = ThermalPoint(0.05)
-    cancel = abs(pressure_poisson(t, 1.0, _CTL).value / pressure_zero_T(PlateSystem(1.0)) - 1.0)
+    p0 = pressure_zero_T(_BOYER_PAIR)
+    cancel = abs(_row("pressure", "poisson", _BOYER_PAIR, 0.05).value / p0 - 1.0)
     out.append(_check("pressure/zero-T-cancellation", cancel, 2e-4))
     # P = 3F - xi dF/dxi between the composed pressure and free energy, on
     # both routes of the kernel
@@ -149,10 +144,9 @@ def _pressure(grid, out: list):
     out.append(_check("pressure/thermodynamic-identity", worst, 1e-6))
     # the routed pressure against zero-T plus the thermal-log series, which
     # does not use the conductor kernel, in units of the sum of their bars
-    p0 = pressure_zero_T(PlateSystem(1.0))
     worst = 0.0
     for xi in grid:
-        routed = pressure_auto(1.0, xi, _CTL)
+        routed = _row("pressure", "auto", _BOYER_PAIR, xi)
         tlog = pressure_thermal_log(ThermalPoint(xi), 1.0, _CTL)
         miss = abs(math.fsum((routed.value, -p0, -tlog.value)))
         worst = max(worst, miss / (routed.abs_err_est + tlog.abs_err_est))
@@ -160,17 +154,14 @@ def _pressure(grid, out: list):
 
 
 def _asymptotics(out: list):
-    sys = PlateSystem(1.0)
     for rep, xi, tol in (("low", 0.05, 1e-5), ("high", 2.0, 1e-4)):
-        t = ThermalPoint(xi)
-        exact = evaluate_free_energy(sys, t, _CTL).value
-        closed = evaluate_free_energy(sys, t, _CTL, rep).value
+        exact = _row("free_energy", "auto", _BOYER_PAIR, xi).value
+        closed = _row("free_energy", rep, _BOYER_PAIR, xi).value
         out.append(_check(f"asymptotics/{rep}-T", abs(closed - exact) / abs(exact), tol))
-    t = ThermalPoint.from_beta(0.1, 1.0)
-    pp = pressure_poisson(t, 1.0, _CTL).value
-    out.append(
-        _check("asymptotics/pressure-high-T", abs(pressure_high_T(t, 1.0) - pp) / abs(pp), 1e-6)
-    )
+    xi = ThermalPoint.from_beta(0.1, 1.0).xi
+    pp = _row("pressure", "poisson", _BOYER_PAIR, xi).value
+    out.append(_check("asymptotics/pressure-high-T",
+                      abs(_row("pressure", "high", _BOYER_PAIR, xi).value - pp) / abs(pp), 1e-6))
 
 
 def _epstein_overlap(out: list):
@@ -197,7 +188,7 @@ def _split(out: list):
         # composes the Boyer value from the same split
         f1 = f_conducting_lattice(2.0 * xi, _CTL).value / 8.0
         f2 = f_conducting_lattice(xi, _CTL).value
-        fb = evaluate_free_energy(PlateSystem(1.0), ThermalPoint(xi), _CTL).value
+        fb = _row("free_energy", "auto", _BOYER_PAIR, xi).value
         worst = max(worst, abs(f1 - f2 - fb))
     out.append(_check("split/f1-minus-f2", worst, 1e-8))
     rec = sb_to_casimir()
@@ -212,7 +203,7 @@ def _split(out: list):
     # the arguments x = a xi the TIS checks give it on the default grid
     worst = 0.0
     for x in _KERNEL_VS_LATTICE_X:
-        single = f_conducting_single(x, _CTL)
+        single = _row("free_energy", "coth", _CONDUCTOR_PAIR, x)
         lattice = f_conducting_lattice(x, _LATTICE_CTL)
         worst = max(worst, abs(single.value - lattice.value)
                     / (single.abs_err_est + lattice.abs_err_est))
@@ -220,14 +211,17 @@ def _split(out: list):
 
 
 def _zero_t_anchors(out: list):
-    fb = free_energy_auto(PlateSystem(1.0), 0.02, _CTL).value
+    fb = _row("free_energy", "auto", _BOYER_PAIR, 0.02).value
     out.append(_check("anchors/boyer-zero-T", abs(fb - 0.875 * math.pi**2 / 720.0), 1e-6))
     # the conducting thermal residual at xi = 0.02 is ~4.7e-5, genuinely
     # above the anchor tolerance; probe deeper where it has died off
-    fc = f_conducting_single(0.004, _CTL).value
+    fc = _row("free_energy", "coth", _CONDUCTOR_PAIR, 0.004).value
     out.append(_check("anchors/conductor-zero-T", abs(fc + math.pi**2 / 720.0), 1e-6))
-    p = pressure_auto(1.0, 0.02, _CTL).value
-    out.append(_check("anchors/pressure-zero-T", abs(p - 0.875 * math.pi**2 / 240.0), 1e-5))
+    # the routed pressure and its low-T closed form, whose leading term is
+    # the zero-T pressure
+    p0 = 0.875 * math.pi**2 / 240.0
+    miss = max(abs(_row("pressure", rep, _BOYER_PAIR, 0.02).value - p0) for rep in ("auto", "low"))
+    out.append(_check("anchors/pressure-zero-T", miss, 1e-5))
 
 
 def run_all(grid: str = "default", tamper: str | None = None) -> list:

@@ -19,9 +19,7 @@ from casimir_plates import (
 )
 from casimir_plates import epstein as ep
 from casimir_plates.cli import main as cli_main
-from casimir_plates.forms import free_energy_high_T, free_energy_low_T, pressure_high_T
-from casimir_plates.free_energy import _pair_profile
-from casimir_plates.pressure import pressure_net_dfdxi, pressure_poisson
+from casimir_plates.free_energy import _evaluator, _pair_profile
 from casimir_plates.symmetry import (
     XI_FIXED_F1,
     XI_FIXED_F2,
@@ -42,6 +40,11 @@ from conftest import ACCEPTANCE_LINES
 TIGHT = SeriesControl(rel_tol=1e-14)
 BOYER = PlateSystem(1.0, "boyer")
 CONDUCTOR = PlateSystem(1.0, "conductor")
+
+
+def pressure_row(rep, xi, ctl=TIGHT):
+    """P at d = 1 from the table's row ('pressure', rep)."""
+    return _evaluator("pressure", rep, BOYER.kind, xi)(BOYER, xi, ctl).value
 
 
 def record(n, ok, detail):
@@ -103,8 +106,8 @@ def test_acceptance_03_pressure_consistency():
     h = 1e-5
     for xi in grid:
         t = ThermalPoint.from_xi(xi, 1.0)
-        a = pressure_net_dfdxi(t, 1.0, TIGHT).value
-        b = pressure_poisson(t, 1.0, TIGHT).value
+        a = pressure_row("coth", xi)
+        b = pressure_row("poisson", xi)
         worst_pair = max(worst_pair, abs(a - b))
         beta = t.beta(1.0)
 
@@ -128,12 +131,10 @@ def test_acceptance_04_poisson_zero_T_cancellation():
     taken at xi = 0.04 and a 2e-4 gate documents xi = 0.05.
     """
     p0 = pressure_zero_T(BOYER)
-    r5 = abs(
-        pressure_poisson(ThermalPoint.from_xi(0.05, 1.0), 1.0, TIGHT).value - p0
-    ) / p0
+    r5 = abs(pressure_row("poisson", 0.05) - p0) / p0
     r4 = abs(
-        # the Poisson route of the kernel itself, d^4 P = P at d = 1:
-        # pressure_poisson refuses xi < 0.05
+        # the Poisson route of the kernel itself, d^4 P = P at d = 1: the
+        # poisson row refuses xi < 0.05
         _pair_profile(BOYER.kind, 0.04, "poisson", True, TIGHT)[0]
         - p0
     ) / p0
@@ -144,13 +145,13 @@ def test_acceptance_04_poisson_zero_T_cancellation():
 def test_acceptance_05_asymptotic_windows():
     t_lo = ThermalPoint.from_xi(0.05, 1.0)
     exact_lo = evaluate_free_energy(BOYER, t_lo, TIGHT, "bessel").value
-    r_lo = abs(exact_lo - free_energy_low_T(BOYER, t_lo)) / abs(exact_lo)
+    r_lo = abs(exact_lo - evaluate_free_energy(BOYER, t_lo, None, "low").value) / abs(exact_lo)
     t_hi = ThermalPoint.from_xi(2.0, 1.0)
     exact_hi = evaluate_free_energy(BOYER, t_hi, TIGHT, "poisson").value
-    r_hi = abs(exact_hi - free_energy_high_T(BOYER, t_hi)) / abs(exact_hi)
-    t_p = ThermalPoint.from_beta(0.1, 1.0)
-    exact_p = pressure_poisson(t_p, 1.0, TIGHT).value
-    r_p = abs(exact_p - pressure_high_T(t_p, 1.0)) / abs(exact_p)
+    r_hi = abs(exact_hi - evaluate_free_energy(BOYER, t_hi, None, "high").value) / abs(exact_hi)
+    xi_p = ThermalPoint.from_beta(0.1, 1.0).xi
+    exact_p = pressure_row("poisson", xi_p)
+    r_p = abs(exact_p - pressure_row("high", xi_p, None)) / abs(exact_p)
     ok = r_lo <= 1e-5 and r_hi <= 1e-4 and r_p <= 1e-6
     record(
         5, ok, f"low-T rel {r_lo:.1e}, high-T rel {r_hi:.1e}, pressure rel {r_p:.1e}"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_plates import PlateKind, UnsupportedRepresentationError, cli
+from casimir_plates import PlateKind, UnsupportedRepresentationError, cli, free_energy
 from casimir_plates.verification import GRIDS, run_all
 
 
@@ -158,8 +158,9 @@ class TestUsageErrors:
 
 class TestEvalErrors:
     def test_pressure_with_explicit_rep(self):
+        # the pressure has the kernel's routes and closed forms, no lattice
         assert run_main(
-            ["eval", "--quantity", "pressure", "--xi", "0.5", "--rep", "coth"]
+            ["eval", "--quantity", "pressure", "--xi", "0.5", "--rep", "lattice"]
         ) == 3
 
     def test_pressure_for_conductor(self):
@@ -309,9 +310,10 @@ CENSUS_XI = ("0", "1e-5", "0.01", "0.5")
 
 def served(quantity, system, rep, xi):
     """The served set, written out: what ``casimir eval`` answers with exit 0."""
-    if quantity in ("pressure", "p_scaled"):
-        return rep == "auto" and system == "boyer"  # routed, and Boyer only
-    if xi in (0.0, 1e-5):  # the zero-temperature route serves every representation
+    if quantity in ("pressure", "p_scaled"):  # the kernel's routes and closed forms, Boyer only
+        if system == "conductor" or rep not in ("auto", "coth", "poisson", "low", "high"):
+            return False
+    if xi in (0.0, 1e-5):  # the zero-temperature route serves every row
         return True
     if system == "conductor" and rep in ("double", "bessel", "mode-integral"):
         return False
@@ -334,7 +336,7 @@ class TestServedSet:
                     assert code == 0, (point, err)
                     continue
                 assert code == 3 and out == "", point
-                if rep == "poisson" and quantity in ("free_energy", "f_scaled"):
+                if rep == "poisson" and (quantity[0] == "f" or system == "boyer"):
                     assert "converges too slowly below xi=0.05" in err, point
                 else:  # a missing row names the quantity, the rep and the pair
                     table_quantity = "free_energy" if quantity[0] == "f" else "pressure"
@@ -429,6 +431,23 @@ class TestVerify:
         assert names >= DEFAULT_BATTERY_ROWS
         assert not any(name.startswith("error/") for name in names)
         assert all(c.passed for c in checks)
+
+    def test_battery_reaches_every_served_row(self, monkeypatch):
+        # a row of the table that no check evaluates fails here; the row
+        # 'bessel' is the row 'double' under a second name
+        reached = set()
+
+        def counting(evaluator):
+            def wrapped(sys, xi, ctl):
+                reached.add(evaluator)
+                return evaluator(sys, xi, ctl)
+            return wrapped
+
+        rows = dict(free_energy._SERVED)
+        for key, (evaluator, kinds) in rows.items():
+            monkeypatch.setitem(free_energy._SERVED, key, (counting(evaluator), kinds))
+        assert all(c.passed for c in run_all("coarse"))
+        assert [key for key, (evaluator, _) in rows.items() if evaluator not in reached] == []
 
     def test_tamper_is_transient(self):
         # a tampered run must not poison later evaluations

@@ -24,16 +24,11 @@ from casimir_plates import (
     pressure_auto,
     zero_temperature_energy,
 )
-from casimir_plates.forms import (
-    f_conducting_single,
-    f_scaled_double,
-    free_energy_high_T,
-    free_energy_low_T,
-    free_energy_mode_integral,
-)
+from casimir_plates.forms import f_scaled_double, free_energy_mode_integral
 from casimir_plates.free_energy import (
     _PLANS,
     _ZERO_T_XI,
+    _evaluator,
     _pair_profile,
     _route,
     f_conducting_lattice,
@@ -50,6 +45,11 @@ def boyer(d=1.0):
 
 def conductor(d=1.0):
     return PlateSystem(d=d, kind=PlateKind.CONDUCTOR_CONDUCTOR)
+
+
+def conducting_coth(xi, ctl=TIGHT):
+    """d^3 F/L^2 of the conducting pair from the table's coth row, at d = 1."""
+    return evaluate_free_energy(conductor(), ThermalPoint(xi), ctl, "coth")
 
 
 def _mpmath_conductor(xi):
@@ -174,7 +174,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 1.0, 2.0, 5.0])
     def test_conducting_single_matches_mpmath(self, xi):
         ref = _mpmath_f_scaled(xi)
-        got = f_conducting_single(xi, TIGHT).value
+        got = conducting_coth(xi).value
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ class TestScaledThermalFunction:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            f_conducting_single(0.0)
+            _evaluator("free_energy", "coth", PlateKind.CONDUCTOR_CONDUCTOR, -1.0)
         with pytest.raises(DomainError):
             f_scaled_double(-1.0)
 
@@ -240,10 +240,7 @@ class TestRepresentationEquivalence:
         # the Boyer pair as the coth route's conductor halves g(2 xi)/8 - g(xi)
         t = ThermalPoint.from_xi(xi, 1.0)
         via_bessel = evaluate_free_energy(boyer(), t, TIGHT, "bessel").value
-        decomposed = (
-            f_conducting_single(2.0 * xi, TIGHT).value / 8.0
-            - f_conducting_single(xi, TIGHT).value
-        )
+        decomposed = conducting_coth(2.0 * xi).value / 8.0 - conducting_coth(xi).value
         assert via_bessel == pytest.approx(decomposed, abs=1e-10)
 
     def test_mode_integral_oracle(self):
@@ -334,7 +331,7 @@ class TestScalingAndStructure:
 class TestConductorRepresentations:
     @pytest.mark.parametrize("xi", [0.1, 0.5, 1.0, 2.0])
     def test_single_equals_lattice(self, xi):
-        a = f_conducting_single(xi, TIGHT)
+        a = conducting_coth(xi)
         b = f_conducting_lattice(xi, TIGHT)
         assert a.value == pytest.approx(b.value, abs=1e-8 * max(1.0, abs(a.value)))
 
@@ -346,49 +343,56 @@ class TestConductorRepresentations:
         sys = conductor()
         t = ThermalPoint.from_xi(0.05, 1.0)
         exact = evaluate_free_energy(sys, t, TIGHT, "coth").value
-        assert free_energy_low_T(sys, t) == pytest.approx(exact, rel=1e-5)
+        assert evaluate_free_energy(sys, t, None, "low").value == pytest.approx(exact, rel=1e-5)
 
     def test_conductor_high_T_closed_form(self):
         sys = conductor()
         t = ThermalPoint.from_xi(2.0, 1.0)
         exact = evaluate_free_energy(sys, t, TIGHT, "coth").value
-        assert free_energy_high_T(sys, t) == pytest.approx(exact, rel=1e-4)
+        assert evaluate_free_energy(sys, t, None, "high").value == pytest.approx(exact, rel=1e-4)
 
     def test_boyer_high_T_is_conductor_difference(self):
         # F_boyer(d) = F_cond(2d) - F_cond(d) must survive the asymptotics
         d, xi = 1.0, 2.0
         tb = ThermalPoint.from_xi(xi, d)
         t2 = ThermalPoint.from_beta(tb.beta(d), 2.0 * d)
-        lhs = free_energy_high_T(boyer(d), tb)
-        rhs = free_energy_high_T(conductor(2.0 * d), t2) - free_energy_high_T(
-            conductor(d), tb
-        )
+
+        def high(sys, t):
+            return evaluate_free_energy(sys, t, None, "high").value
+
+        lhs = high(boyer(d), tb)
+        rhs = high(conductor(2.0 * d), t2) - high(conductor(d), tb)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_boyer_low_T_matches_bessel(self):
         sys = boyer()
         t = ThermalPoint.from_xi(0.05, 1.0)
         exact = evaluate_free_energy(sys, t, TIGHT, "bessel").value
-        assert free_energy_low_T(sys, t) == pytest.approx(exact, rel=1e-5)
+        assert evaluate_free_energy(sys, t, None, "low").value == pytest.approx(exact, rel=1e-5)
 
     def test_boyer_high_T_matches_poisson(self):
         sys = boyer()
         t = ThermalPoint.from_xi(2.0, 1.0)
         exact = evaluate_free_energy(sys, t, TIGHT, "poisson").value
-        assert free_energy_high_T(sys, t) == pytest.approx(exact, rel=1e-4)
+        assert evaluate_free_energy(sys, t, None, "high").value == pytest.approx(exact, rel=1e-4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(math.log(1e-3), math.log(30.0)).map(math.exp),
-           st.sampled_from(["boyer", "conductor"]), st.sampled_from(["low", "high"]))
-    def test_closed_form_within_its_bar(self, xi, kind, rep):
+           st.sampled_from([("free_energy", "boyer"), ("free_energy", "conductor"),
+                            ("pressure", "boyer")]),
+           st.sampled_from(["low", "high"]))
+    def test_closed_form_within_its_bar(self, xi, quantity_kind, rep):
         # the closed forms' remainder bound against the pair's profile in
-        # mpmath, with no slack, also far outside the form's own range
-        r = evaluate_free_energy(PlateSystem(1.0, kind), ThermalPoint(xi), None, rep)
+        # mpmath, with no slack, also far outside the form's own range; the
+        # pressure's rows serve the Boyer pair only
+        quantity, kind = quantity_kind
+        sys, pressure = PlateSystem(1.0, kind), quantity == "pressure"
+        r = _evaluator(quantity, rep, sys.kind, xi)(sys, xi, None)
         assert r.rep == rep
         with mpmath.workdps(40):
-            ref = _mp_profile(xi, False)
-            if kind == "boyer":  # F1(2d) - F2(d)
-                ref = _mp_profile(2 * xi, False) / 8 - ref
+            ref = _mp_profile(xi, pressure)
+            if kind == "boyer":  # F1(2d) - F2(d), P1(2d) - P2(d)
+                ref = _mp_profile(2 * xi, pressure) / 8 - ref
             assert abs(r.value - ref) <= r.abs_err_est
 
 
@@ -682,7 +686,7 @@ class TestConductorKernel:
         t = ThermalPoint(0.5)
         r = evaluate_free_energy(conductor(), t, TIGHT, "poisson")
         assert r.rep == "poisson"
-        assert r.value == pytest.approx(f_conducting_single(0.5, TIGHT).value, rel=1e-13)
+        assert r.value == pytest.approx(conducting_coth(0.5).value, rel=1e-13)
 
     def test_conductor_zero_T_route_keeps_zeta3_term(self):
         # below xi ~ 6.7e-4 every series term underflows, but the

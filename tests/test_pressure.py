@@ -23,8 +23,7 @@ from casimir_plates import (
 )
 from casimir_plates import free_energy as free_energy_module
 from casimir_plates import pressure as pressure_module
-from casimir_plates.forms import _thermodynamic_residual, pressure_high_T, pressure_thermal_log
-from casimir_plates.pressure import pressure_net_dfdxi, pressure_poisson
+from casimir_plates.forms import _thermodynamic_residual, pressure_thermal_log
 from casimir_plates.verification import GRIDS, run_all
 
 TIGHT = SeriesControl(rel_tol=1e-14)
@@ -32,6 +31,12 @@ TIGHT = SeriesControl(rel_tol=1e-14)
 
 def boyer(d=1.0):
     return PlateSystem(d=d, kind=PlateKind.BOYER_MIXED)
+
+
+def pressure_row(rep, t, d, ctl=TIGHT):
+    """The table's row ('pressure', rep) at the point t and separation d."""
+    sys = boyer(d)
+    return free_energy_module._evaluator("pressure", rep, sys.kind, t.xi)(sys, t.xi, ctl)
 
 
 def _mpmath_pressure(xi, d=1.0, prec=40):
@@ -117,22 +122,22 @@ class TestRepresentationEquivalence:
     def test_dfdxi_equals_poisson(self, xi):
         d = 1.0
         t = ThermalPoint.from_xi(xi, d)
-        a = pressure_net_dfdxi(t, d, TIGHT).value
-        b = pressure_poisson(t, d, TIGHT).value
+        a = pressure_row("coth", t, d).value
+        b = pressure_row("poisson", t, d).value
         assert a == pytest.approx(b, abs=1e-8 * max(1.0, abs(a)))
 
     @pytest.mark.parametrize("xi", [0.05, 0.1, 0.3, 0.5, 1.0, 2.0])
     def test_thermal_log_decomposition(self, xi):
         d = 1.0
         t = ThermalPoint.from_xi(xi, d)
-        a = pressure_net_dfdxi(t, d, TIGHT).value
+        a = pressure_row("coth", t, d).value
         b = pressure_zero_T(boyer(d)) + pressure_thermal_log(t, d, TIGHT).value
         assert a == pytest.approx(b, abs=1e-8 * max(1.0, abs(a)))
 
     def test_zero_temperature_limit(self):
         d = 1.0
         t = ThermalPoint.from_beta(100.0, d)
-        got = pressure_net_dfdxi(t, d, TIGHT).value
+        got = pressure_row("coth", t, d).value
         assert got == pytest.approx(pressure_zero_T(boyer(d)), abs=1e-12)
 
     def test_thermal_log_vanishing_at_low_T(self):
@@ -152,10 +157,10 @@ class TestCancellationAndAsymptotics:
         # from the large-term cancellation; at xi = 0.04 it is below 1e-4
         d = 1.0
         p0 = pressure_zero_T(boyer(d))
-        got5 = pressure_poisson(ThermalPoint.from_xi(0.05, d), d, TIGHT).value
+        got5 = pressure_row("poisson", ThermalPoint.from_xi(0.05, d), d).value
         assert got5 == pytest.approx(p0, rel=2e-4)
-        # the Poisson route of the kernel itself, d^4 P = P at d = 1:
-        # pressure_poisson refuses xi < 0.05
+        # the Poisson route of the kernel itself, d^4 P = P at d = 1: the
+        # poisson row refuses xi < 0.05
         got4 = free_energy_module._pair_profile(PlateKind.BOYER_MIXED, 0.04, "poisson", True,
                                                 TIGHT)[0]
         assert got4 == pytest.approx(p0, rel=1e-4)
@@ -164,13 +169,13 @@ class TestCancellationAndAsymptotics:
     def test_high_T_closed_form(self, beta, rtol):
         d = 1.0
         t = ThermalPoint.from_beta(beta, d)
-        exact = pressure_poisson(t, d, TIGHT).value
-        assert pressure_high_T(t, d) == pytest.approx(exact, rel=rtol)
+        exact = pressure_row("poisson", t, d).value
+        assert pressure_row("high", t, d).value == pytest.approx(exact, rel=rtol)
 
     def test_stefan_boltzmann_dominates(self):
         d, beta = 1.0, 0.05
         t = ThermalPoint.from_beta(beta, d)
-        got = pressure_poisson(t, d, TIGHT).value
+        got = pressure_row("poisson", t, d).value
         assert got == pytest.approx(math.pi**2 / (45.0 * beta**4), rel=1e-3)
 
     def test_printed_high_T_variant_within_a_part_in_a_thousand(self):
@@ -178,7 +183,7 @@ class TestCancellationAndAsymptotics:
         # common transcription; it still lands within 1e-3 at beta = 0.1
         d, beta = 1.0, 0.1
         t = ThermalPoint.from_beta(beta, d)
-        exact = pressure_poisson(t, d, TIGHT).value
+        exact = pressure_row("poisson", t, d).value
         variant = (
             math.pi**2 / (45.0 * beta**4)
             + 3.0 * float(mpmath.zeta(3)) / (16.0 * d**3 * beta)
@@ -223,14 +228,14 @@ class TestValidation:
         t = ThermalPoint.from_xi(0.5, 1.0)
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="d must be"):
-                pressure_net_dfdxi(t, bad, TIGHT)
+                pressure_row("coth", t, bad)
         with pytest.raises(DomainError, match="xi"):
             pressure_auto(1.0, math.inf)
 
     def test_poisson_floor(self):
         t = ThermalPoint.from_xi(0.01, 1.0)
         with pytest.raises(SlowConvergenceError):
-            pressure_poisson(t, 1.0, TIGHT)
+            pressure_row("poisson", t, 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -283,12 +288,11 @@ class TestValidation:
         try:
             if form == "thermal-log":
                 r = pressure_thermal_log(t, d, SeriesControl(max_terms=2000))
-                value, err = r.value, r.abs_err_est
-            else:
-                value, err = pressure_high_T(t, d), 0.0
+            else:  # the high row, with its own bar
+                r = pressure_row("high", t, d, None)
         except CasimirError:
             return
-        assert math.isfinite(value) and math.isfinite(err)
+        assert math.isfinite(r.value) and math.isfinite(r.abs_err_est)
 
 
 class TestInPathCheck:

@@ -1,7 +1,8 @@
 """Every public callable of the package's numeric modules (the validation
-layer, the representations and the routed entry points) is total: at any
-argument it returns a finite value or raises a CasimirError, never another
-exception, inf or nan."""
+layer, the representations and the routed entry points), and every row of
+the table ``free_energy._SERVED``, is total: at any argument it returns a
+finite value or raises a CasimirError, never another exception, inf or
+nan."""
 
 import math
 
@@ -13,7 +14,6 @@ from casimir_plates import epstein, forms, specfun, symmetry
 from casimir_plates import free_energy as fe
 from casimir_plates import pressure as pr
 from casimir_plates.errors import CasimirError, DomainError, UnsupportedRepresentationError
-from casimir_plates.forms import f_conducting_single
 from casimir_plates.free_energy import PlateKind, PlateSystem, RepresentationKind, ThermalPoint
 from casimir_plates.specfun import EvalResult, SeriesControl
 
@@ -85,11 +85,8 @@ CASES = {
     "free_energy_lattice": (_pair_call(fe.free_energy_lattice, CTL), (D, KIND, D)),
     "free_energy_mode_integral": (
         _pair_call(forms.free_energy_mode_integral, MODE_CTL), (D, KIND, D)),
-    "free_energy_low_T": (_pair_call(forms.free_energy_low_T), (D, KIND, D)),
-    "free_energy_high_T": (_pair_call(forms.free_energy_high_T), (D, KIND, D)),
     "f_nontrivial": (lambda xi: fe.f_nontrivial(xi, CTL), (D,)),
     "f_conducting_lattice": (lambda xi: fe.f_conducting_lattice(xi, CTL), (D,)),
-    "f_conducting_single": (lambda xi: forms.f_conducting_single(xi, CTL), (D,)),
     "evaluate_free_energy": (
         lambda d, kind, xi, rep: fe.evaluate_free_energy(
             PlateSystem(d, kind), ThermalPoint(xi), MODE_CTL if rep == "mode-integral" else CTL,
@@ -102,7 +99,6 @@ CASES = {
     "pressure_net_dfdxi": (_pressure_call(pr.pressure_net_dfdxi, CTL), (D, D)),
     "pressure_thermal_log": (_pressure_call(forms.pressure_thermal_log, CTL), (D, D)),
     "pressure_poisson": (_pressure_call(pr.pressure_poisson, CTL), (D, D)),
-    "pressure_high_T": (_pressure_call(forms.pressure_high_T), (D, D)),
     "pressure_auto": (lambda d, xi: pr.pressure_auto(d, xi, CTL), (D, D)),
 }
 # record types hold what they are given once their own checks pass: of
@@ -144,8 +140,25 @@ def test_total(name, data):
     assert name in RECORDS or _finite(r), (args, r)
 
 
+@pytest.mark.parametrize("quantity, rep", sorted(fe._SERVED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_served_row_is_total(quantity, rep, data):
+    # each row as the command line reaches it, with xi as it comes: 0 and
+    # every zero-T xi are the routed row's
+    d, kind, xi = data.draw(D), data.draw(KIND), data.draw(D)
+    try:
+        sys = PlateSystem(d, kind)
+        r = fe._evaluator(quantity, rep, sys.kind, xi)(
+            sys, xi, MODE_CTL if rep == "mode-integral" else CTL)
+    except CasimirError:
+        return
+    assert _finite(r), (d, kind, xi, r)
+
+
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: f_conducting_single(INF), id="f_conducting_single-inf"),
+    pytest.param(lambda: fe._evaluator("free_energy", "coth", PlateKind.CONDUCTOR_CONDUCTOR, INF),
+                 id="served-coth-xi-inf"),
     pytest.param(lambda: symmetry.identity_alternating(1e-300), id="identity_alternating-tiny"),
     pytest.param(lambda: symmetry.identity_plain(1e-300), id="identity_plain-tiny"),
     pytest.param(lambda: symmetry.low_T_from_high_T(1e300), id="low_T_from_high_T-huge"),
