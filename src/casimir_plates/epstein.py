@@ -23,7 +23,7 @@ import math
 import warnings
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .free_energy import _DEFAULT_CTL, _MAX, EvalResult, SeriesControl, _record
+from .free_energy import _DEFAULT_CTL, _MAX, _MIN_TERMS, EvalResult, SeriesControl, _record
 from .specfun import riemann_zeta
 
 __all__ = [
@@ -117,7 +117,7 @@ class _LatticeSum:
         an = a[-1]
         rest = a[:-1]
         tol = 0.25 * self.ctl.rel_tol
-        n0 = max(self.ctl.min_terms, 12)
+        n0 = 12
         while True:
             if self.terms > self.ctl.max_terms:
                 raise ConvergenceError("epstein lattice sum exhausted max_terms")
@@ -312,7 +312,7 @@ def epstein2_continued(
                 break
         running += row
         # a row enters the value as pref row: compare it in value units
-        if n >= ctl.min_terms and rows_after * row <= 0.1 * ctl.rel_tol * max(
+        if n >= _MIN_TERMS and rows_after * row <= 0.1 * ctl.rel_tol * max(
             abs(head) + abs(pref) * running, 1e-300
         ):
             break

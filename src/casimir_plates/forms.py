@@ -22,6 +22,7 @@ from .free_energy import (
     _DEFAULT_CTL,
     _EPS,
     _MAX,
+    _MIN_TERMS,
     _PLANS,
     ZETA3,
     EvalResult,
@@ -102,7 +103,7 @@ def f_scaled_double(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
         if lr < 0.0:
             row_full = row_first * (1.0 + geo)
             row_tail = row_full * math.exp(lr) / -math.expm1(lr)
-            if n >= ctl.min_terms and row_tail <= 0.5 * ctl.rel_tol * abs(total):
+            if n >= _MIN_TERMS and row_tail <= 0.5 * ctl.rel_tol * abs(total):
                 break
     value = math.fsum(parts)
     return EvalResult(value, row_tail + m_tails + _EPS * (rounding + abs(value)), nterms, "double")

@@ -10,8 +10,11 @@ Conventions (natural units, hbar = c = k_B = 1):
 One conductor kernel carries the production paths: the conducting-pair
 profile g(x) = a^3 F_c, or p(x) = a^4 P_c = 3 g - x g', from the coth series
 (tail ratio e^(-1/x)) or its Poisson resummation (e^(-4 pi^2 x)); the router
-switches at x = 1/(2 pi), where the two ratios meet.  The Boyer pair is the
-split F = F1(2d) - F2(d): d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
+switches at x = 1/(2 pi), where the two ratios meet.  ``_pair`` is the one
+way into it: the router, the d^-3 (d^-4) scaling and its range check, for
+the routed functions, every kernel row of the table and the zero-T
+energies alike.  The Boyer pair is the split F = F1(2d) - F2(d):
+d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
 The paper's modified TIS is the conductors' inversion x' = 1/(4 pi^2 x),
 g -> g and p -> 2 g - p times (2 pi x)^4, taken half by half: a half (a, w)
 at xi is the half (1/a, w a^4) at xi'.  Its coefficients are written once,
@@ -62,36 +65,35 @@ def _record(name: str, fields: str):
     return base
 
 
-class SeriesControl(_record("SeriesControl", "rel_tol max_terms min_terms")):
+class SeriesControl(_record("SeriesControl", "rel_tol max_terms")):
     """Truncation policy shared by every adaptive series evaluator.
 
     A series evaluator stops only once its bounded tail estimate drops
     below ``rel_tol`` times the magnitude of the partial sum; running into
-    ``max_terms`` raises :class:`~casimir_plates.errors.ConvergenceError`
-    instead of returning silently.  ``min_terms`` is a floor for the series
-    whose tail estimate is heuristic.  The conductor kernel, whose tail
-    bound is proven from the first term, may stop before it, once that
+    ``max_terms``, an integer of at least 1, raises
+    :class:`~casimir_plates.errors.ConvergenceError` (or its subclass
+    :class:`~casimir_plates.errors.SlowConvergenceError`) instead of
+    returning silently.  A series whose tail estimate is heuristic sums at
+    least ``_MIN_TERMS`` terms first; the conductor kernel, whose tail bound
+    is proven from the first term, may stop before that floor, once the
     bound is below min(rel_tol, eps/2) of the partial sum: where its tail
-    cannot move the double result.  Both term counts are integers.
+    cannot move the double result.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6, min_terms: int = 8):
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6):
         if not rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
         try:
-            if isinstance(min_terms, bool) or isinstance(max_terms, bool):
+            if isinstance(max_terms, bool):
                 raise TypeError
-            # any integral type (a numpy integer too) as a plain int
-            max_terms, min_terms = operator.index(max_terms), operator.index(min_terms)
+            max_terms = operator.index(max_terms)  # any integral type (numpy too) as an int
         except TypeError:
-            raise DomainError(
-                f"min_terms and max_terms must be integers, got {min_terms!r} and {max_terms!r}"
-            ) from None
-        if min_terms < 1 or min_terms > max_terms:
-            raise DomainError("need 1 <= min_terms <= max_terms")
-        return tuple.__new__(cls, (rel_tol, max_terms, min_terms))
+            raise DomainError(f"max_terms must be an integer, got {max_terms!r}") from None
+        if max_terms < 1:
+            raise DomainError("max_terms must be at least 1")
+        return tuple.__new__(cls, (rel_tol, max_terms))
 
 
 class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
@@ -108,6 +110,8 @@ class EvalResult(_record("EvalResult", "value abs_err_est terms_used rep")):
 # the truncation policy of every evaluator called without one; records are
 # immutable, so all of them share this one
 _DEFAULT_CTL = SeriesControl()
+# the fewest terms a series with a heuristic tail estimate sums before it may stop
+_MIN_TERMS = 8
 
 
 ZETA3 = 1.2020569031595942  # Apery's constant zeta(3), correctly rounded
@@ -237,7 +241,7 @@ def _require_boyer(sys: PlateSystem, rep: str):
 
 def zero_temperature_energy(sys: PlateSystem) -> float:
     """Zero-temperature Casimir energy per unit area (closed form)."""
-    return _pair(sys, 0.0, "zero-T", None).value
+    return _pair(sys.kind, sys.d, 0.0, False, None, "zero-T").value
 
 
 # the closed-form monomials (c, k), i.e. c x^k, of the conducting profile
@@ -326,7 +330,7 @@ def _pair_profile(
     after a term t is at most t r_1/(1 - r_1), and q t, q = 2 r_1/D_1,
     bounds it with a factor 2 to spare for rounding.  A half stops at the
     first n with q t <= tol partial, tol = min(rel_tol, eps/2) below
-    ``ctl.min_terms`` (early only once its tail cannot move the double
+    ``_MIN_TERMS`` (early only once its tail cannot move the double
     result), rel_tol from there on; ``ctl.max_terms`` is a ConvergenceError.
 
     Rounding, to first order in u = eps/2, exp and expm1 within 1 ulp: the
@@ -343,7 +347,8 @@ def _pair_profile(
     the monomials and eps |value| per rounding of their sum and its scaling.
     """
     (c0, k0, c1, k1, rate), halves = _PLANS[kind][route][pressure]
-    rel_tol, max_terms, min_terms = ctl or _DEFAULT_CTL
+    rel_tol, max_terms = ctl or _DEFAULT_CTL
+    min_terms = _MIN_TERMS
     s_part, err, terms = 0.0, 0.0, 0
     try:
         m0, m1 = c0 * xi**k0, c1 * xi**k1
@@ -413,17 +418,32 @@ def _per_area(value: float, err: float, d: float, power: int):
     return value, err
 
 
-def _pair(sys: PlateSystem, xi: float, route: str, ctl, pressure=False, rep=None) -> EvalResult:
-    """F/L^2 (pressure: P) of the plate pair on one route of the kernel, as
-    ``rep``; the Poisson route below xi = 0.05 is the package's one floor."""
-    if route == "poisson" and xi < _POISSON_XI_FLOOR:
+def _pair(kind: PlateKind, d: float, xi: float, pressure: bool, ctl=None, route=None):
+    """F/L^2 (pressure: P) of the pair ``kind`` at separation d and xi, on
+    ``route`` of the kernel or, with None, the routed one: the one way into
+    the kernel.  An explicit Poisson route below xi = 0.05 is the package's
+    one floor; the pressure's coth route is reported as 'dfdxi'."""
+    # _route and _per_area's scaling are written out here, not called: on
+    # the routed path two more calls cost a few percent of an evaluation
+    if route is None:
+        if _ZERO_T_XI < xi < _INF:
+            route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
+        else:
+            route = _route(xi)
+    elif route == "poisson" and xi < _POISSON_XI_FLOOR:
         raise SlowConvergenceError(
             f"the poisson representation converges too slowly below xi={_POISSON_XI_FLOOR}; "
             "use the coth series"
         )
-    value, _, err, terms = _pair_profile(sys.kind, xi, route, pressure, ctl)
-    value, err = _per_area(value, err, sys.d, 4 if pressure else 3)
-    return EvalResult(value, err, terms, rep or route)
+    value, _, err, terms = _pair_profile(kind, xi, route, pressure, ctl)
+    value, err = value / d / d / d, err / d / d / d
+    if pressure:
+        value, err = value / d, err / d
+        if route == "coth":
+            route = "dfdxi"
+    if not (-_INF < value < _INF and err < _INF):
+        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
+    return tuple.__new__(EvalResult, (value, err, terms, route))
 
 
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:
@@ -520,16 +540,7 @@ def free_energy_auto(
     zero-temperature limit (removable).  On the 'zero-T' route only the
     closed-form terms survive: the conducting pair keeps its
     -pi^2 zeta(3) xi^3/(2 d^3)."""
-    if _ZERO_T_XI < xi < _INF:  # the routes of _route, inline
-        route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
-    else:
-        route = _route(xi)
-    value, _, err, terms = _pair_profile(sys.kind, xi, route, False, ctl)
-    d = sys.d
-    value, err = value / d / d / d, err / d / d / d
-    if not (-_INF < value < _INF and err < _INF):
-        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
-    return tuple.__new__(EvalResult, (value, err, terms, route))
+    return _pair(sys.kind, sys.d, xi, False, ctl)
 
 
 def _forms():
@@ -539,6 +550,11 @@ def _forms():
     return forms
 
 
+def _kernel_row(pressure: bool, route: str | None):
+    """The table's evaluator of the kernel on ``route`` (None: routed)."""
+    return lambda sys, xi, ctl: _pair(sys.kind, sys.d, xi, pressure, ctl, route)
+
+
 _BOTH = frozenset(PlateKind)
 _BOYER = frozenset((PlateKind.BOYER_MIXED,))
 # The one table of what the package serves: each (quantity, representation)
@@ -546,9 +562,9 @@ _BOYER = frozenset((PlateKind.BOYER_MIXED,))
 # and a missing row or kind is the refusal (_evaluator).  A validation row
 # loads ``forms`` when called; pressure.py adds the pressure rows.
 _SERVED = {
-    ("free_energy", "auto"): (free_energy_auto, _BOTH),
-    ("free_energy", "coth"): (lambda sys, xi, ctl: _pair(sys, xi, "coth", ctl), _BOTH),
-    ("free_energy", "poisson"): (lambda sys, xi, ctl: _pair(sys, xi, "poisson", ctl), _BOTH),
+    ("free_energy", "auto"): (_kernel_row(False, None), _BOTH),
+    ("free_energy", "coth"): (_kernel_row(False, "coth"), _BOTH),
+    ("free_energy", "poisson"): (_kernel_row(False, "poisson"), _BOTH),
     ("free_energy", "lattice"): (
         lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
     ("free_energy", "low"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, False), _BOTH),

@@ -13,14 +13,10 @@ import math
 import operator
 
 from .errors import ConvergenceError, DomainError, PoleError
-# the records and constants the package shares, at home in free_energy
-from .free_energy import _DEFAULT_CTL, _MAX, ZETA3, EvalResult, SeriesControl  # noqa: F401
+from .free_energy import _MAX, _MIN_TERMS
 
 __all__ = [
-    "SeriesControl",
-    "EvalResult",
     "riemann_zeta",
-    "ZETA3",
     "macdonald_half",
     "coth_stable",
     "inv_sinh_stable",
@@ -141,11 +137,12 @@ def inv_sinh_stable(x: float) -> float:
     return 2.0 * math.exp(-x) / -math.expm1(-2.0 * x)
 
 
-def sum_until(term_fn, tail_bound_fn, ctl: SeriesControl, what: str):
+def sum_until(term_fn, tail_bound_fn, ctl, what: str):
     """Accumulate term_fn(n) for n = 1, 2, ... under a bounded-tail stop rule.
 
     ``tail_bound_fn(n, term)`` must bound the remaining tail given the index
-    and value of the term just added.  Returns (value, tail_bound, terms).
+    and value of the term just added; it is first asked at n = _MIN_TERMS.
+    ``ctl`` is the SeriesControl.  Returns (value, tail_bound, terms).
     """
     parts = []
     total = 0.0
@@ -159,7 +156,7 @@ def sum_until(term_fn, tail_bound_fn, ctl: SeriesControl, what: str):
         t = term_fn(n)
         parts.append(t)
         total += t
-        if n < ctl.min_terms:
+        if n < _MIN_TERMS:
             continue
         bound = tail_bound_fn(n, t)
         if bound <= ctl.rel_tol * abs(total):

@@ -20,12 +20,15 @@ from .epstein import EpsteinParams, epstein_direct
 from .errors import DomainError
 from .free_energy import (
     _COTH_POISSON_SPLIT,
+    _DEFAULT_CTL,
     _HALVES,
     _MAX,
     _PLANS,
     _TIS,
+    EvalResult,
     PlateKind,
     PlateSystem,
+    SeriesControl,
     ThermalPoint,
     _inverted,
     _require_separation,
@@ -34,14 +37,7 @@ from .free_energy import (
     free_energy_auto,
     zero_temperature_energy,
 )
-from .specfun import (
-    _DEFAULT_CTL,
-    EvalResult,
-    SeriesControl,
-    coth_stable,
-    inv_sinh_stable,
-    sum_until,
-)
+from .specfun import coth_stable, inv_sinh_stable, sum_until
 
 __all__ = [
     "f1_eval",

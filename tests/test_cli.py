@@ -232,6 +232,16 @@ class TestEvalErrors:
         assert captured.out == ""
         assert "xi=1e+60" in captured.err and "floating-point range" in captured.err
 
+    def test_budget_below_the_series_floor(self, capsys):
+        # a budget of 5 terms is below the 8 that a series with a heuristic
+        # tail sums first, yet a budget: the routed eval needs fewer terms
+        # and prints the default budget's line
+        argv = ["eval", "--quantity", "free_energy", "--xi", "0.3"]
+        assert run_main(argv) == 0
+        default = capsys.readouterr().out
+        assert run_main([*argv, "--max-terms", "5"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_mode_integral_threshold_budget(self, capsys):
         # about 70 xi thresholds are needed; the budget ends the sum promptly
         t0 = time.perf_counter()

@@ -18,7 +18,7 @@ from casimir_plates.epstein import (
     epstein_direct,
 )
 from casimir_plates.errors import CasimirError, DomainError, PoleError
-from casimir_plates.specfun import SeriesControl
+from casimir_plates.free_energy import SeriesControl
 
 CTL = SeriesControl(rel_tol=1e-13)
 # exponents of the continuation's properties, off its poles: z in [-3.3, 10.2]

@@ -22,12 +22,16 @@ from casimir_plates import (
     evaluate_free_energy,
     free_energy_auto,
     pressure_auto,
+    pressure_zero_T,
     zero_temperature_energy,
 )
 from casimir_plates.forms import f_scaled_double, free_energy_mode_integral
 from casimir_plates.free_energy import (
+    _MIN_TERMS,
     _PLANS,
+    _SERVED,
     _ZERO_T_XI,
+    ZETA3,
     _evaluator,
     _pair_profile,
     _route,
@@ -88,7 +92,7 @@ SERIES_SCALE = {"coth": (-math.pi**2 / 8.0, math.pi**2 / 4.0), "poisson": (-0.12
 def _mp_terms(x, route, pressure, tiny=1e-45):
     """The kernel's terms of the conducting profile's series part, in mpmath
     at the working precision, until a term is below ``tiny`` of the sum and
-    at least 8 terms (the default ``min_terms``) are in:
+    at least _MIN_TERMS (8) terms are in:
     with r = e^(-2v), y = 2r/(1 - r) and z = 4r/(1 - r)^2, on the coth route
     (v = n/(2x)) g: (4x^3 y/n + 2x^2 z)/n^2 and p: x z (1 + y)/n; on the
     Poisson route (v = n c, c = 2 pi^2 x) g: (x y/n + x c z)/n^2 and p: that
@@ -570,7 +574,7 @@ class TestConductorKernel:
     @pytest.mark.parametrize("pressure", [False, True])
     @pytest.mark.parametrize("x", [0.005, 0.05, 0.1, 0.3, 1.0, 5.0, 20.0])
     def test_stop_rule(self, route, pressure, x):
-        # below the min_terms floor a sum stops once its proven tail bound
+        # below the _MIN_TERMS floor a sum stops once its proven tail bound
         # is below half an ulp of the partial sum; from the floor on, at
         # rel_tol, which is where the floor-first rule stopped too: the
         # kernel's term count is the stop index of its terms in mpmath
@@ -580,7 +584,7 @@ class TestConductorKernel:
             terms, r = _mp_terms(x, route, pressure, tiny=1e-40)
             n_stop, rel_bound = self._stop_index(
                 terms, r,
-                lambda n: ctl.rel_tol if n >= ctl.min_terms else min(ctl.rel_tol, eps / 2))
+                lambda n: ctl.rel_tol if n >= _MIN_TERMS else min(ctl.rel_tol, eps / 2))
         n_used = _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, x, route, pressure, ctl)[3]
         assert n_used == n_stop
         assert rel_bound <= ctl.rel_tol
@@ -598,20 +602,24 @@ class TestConductorKernel:
         with mpmath.workdps(40):
             terms, r = _mp_terms(x, route, pressure, tiny=1e-40)
             n_stop, _ = self._stop_index(terms, r, lambda n: 1e-17)
-            floor_n = max(tight.min_terms, self._stop_index(
-                terms, r, lambda n: 1e-17 if n >= tight.min_terms else 0)[0])
+            floor_n = max(_MIN_TERMS, self._stop_index(
+                terms, r, lambda n: 1e-17 if n >= _MIN_TERMS else 0)[0])
             _, s_part, err, n_used = _pair_profile(kind, x, route, pressure, tight)
             assert n_used == n_stop
             assert n_used <= floor_n
-            if floor_n > tight.min_terms:
+            if floor_n > _MIN_TERMS:
                 assert n_used == floor_n
             full = SERIES_SCALE[route][pressure] * mpmath.fsum(terms)
             assert abs(s_part - full) <= err
 
     def test_max_terms_is_a_convergence_error(self):
-        with pytest.raises(ConvergenceError, match="conductor coth series"):
-            _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, 5.0, "coth", False,
-                          SeriesControl(max_terms=20, min_terms=8))
+        # a budget past the _MIN_TERMS floor and one short of it, which the
+        # sum cannot reach either, end alike
+        for budget in (20, _MIN_TERMS - 3):
+            message = f"^conductor coth series: no convergence within {budget} terms$"
+            with pytest.raises(ConvergenceError, match=message):
+                _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, 5.0, "coth", False,
+                              SeriesControl(max_terms=budget))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -656,7 +664,7 @@ class TestConductorKernel:
             assert all(close(ws * k, hand) for k, hand in zip(ks, products))
 
     def test_routed_term_counts(self):
-        # pinned below the min_terms floor of 8 per sum, which the kernel's
+        # pinned below the _MIN_TERMS floor of 8 per sum, which the kernel's
         # sums need not reach: a Boyer profile has two sums, a conducting
         # one a single sum
         assert free_energy_auto(boyer(), 0.01).terms_used <= 2
@@ -667,6 +675,35 @@ class TestConductorKernel:
         split = 1.0 / (2.0 * math.pi)
         assert free_energy_auto(boyer(), math.nextafter(split, 0.0)).rep == "coth"
         assert free_energy_auto(boyer(), split).rep == "poisson"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+        st.sampled_from([0.0, 1e-4]) | st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+        st.sampled_from(["boyer", "conductor", "pressure"]),
+    )
+    def test_routed_result_is_the_row_of_its_route(self, d, xi, op):
+        # the routed functions and the table's explicit rows share one way
+        # into the kernel: a routed result, as a whole tuple, is the row of
+        # the route it reports (the pressure's coth route reports 'dfdxi')
+        if op == "pressure":
+            quantity, sys, r = "pressure", boyer(d), pressure_auto(d, xi)
+        else:
+            quantity, sys = "free_energy", PlateSystem(d, op)
+            r = free_energy_auto(sys, xi)
+        if r.rep != "zero-T":
+            route = "coth" if r.rep == "dfdxi" else r.rep
+            assert r == _SERVED[quantity, route][0](sys, xi, None)
+            return
+        # zero-T: the closed form alone, and for the conducting pair at
+        # xi > 0 its -pi^2 zeta(3) xi^3/(2 d^3) (cancelled in the Boyer pair)
+        zero_t = pressure_zero_T(sys) if op == "pressure" else zero_temperature_energy(sys)
+        assert r.abs_err_est == 0.0 and r.terms_used == 0
+        if op == "conductor" and xi > 0.0:
+            zero_t -= math.pi**2 * ZETA3 * xi**3 / (2.0 * d**3)
+            assert r.value == pytest.approx(zero_t, rel=1e-15)
+        else:
+            assert r.value == zero_t
 
     def test_zero_t_threshold_is_where_the_thermal_factor_underflows(self):
         # the router's precomputed threshold gives every xi the route the

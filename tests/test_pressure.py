@@ -22,7 +22,6 @@ from casimir_plates import (
     pressure_zero_T,
 )
 from casimir_plates import free_energy as free_energy_module
-from casimir_plates import pressure as pressure_module
 from casimir_plates.forms import _thermodynamic_residual, pressure_thermal_log
 from casimir_plates.verification import GRIDS, run_all
 
@@ -360,7 +359,6 @@ class TestInPathCheck:
             return wrapped
 
         monkeypatch.setattr(free_energy_module, "_pair_profile", counting)
-        monkeypatch.setattr(pressure_module, "_pair_profile", counting)
         monkeypatch.setattr(math, "exp", counted(math.exp))
         monkeypatch.setattr(math, "expm1", counted(math.expm1))
         if op == "pressure":

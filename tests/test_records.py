@@ -6,17 +6,21 @@ import pickle
 import numpy as np
 import pytest
 
-from casimir_plates import free_energy, specfun
+from casimir_plates import free_energy
 from casimir_plates.epstein import EpsteinParams
 from casimir_plates.errors import DomainError
-from casimir_plates.free_energy import PlateKind, PlateSystem, ThermalPoint
-from casimir_plates.specfun import EvalResult, SeriesControl
+from casimir_plates.free_energy import (
+    EvalResult,
+    PlateKind,
+    PlateSystem,
+    SeriesControl,
+    ThermalPoint,
+)
 from casimir_plates.verification import Check
 
 # one record of each type, its fields, and its repr
 RECORDS = [
-    (SeriesControl(), (1e-12, 10**6, 8),
-     "SeriesControl(rel_tol=1e-12, max_terms=1000000, min_terms=8)"),
+    (SeriesControl(), (1e-12, 10**6), "SeriesControl(rel_tol=1e-12, max_terms=1000000)"),
     (EvalResult(value=-0.5, abs_err_est=1e-17, terms_used=3, rep="coth"),
      (-0.5, 1e-17, 3, "coth"),
      "EvalResult(value=-0.5, abs_err_est=1e-17, terms_used=3, rep='coth')"),
@@ -62,9 +66,10 @@ class TestRecordBehaviour:
 
 class TestSeriesControl:
     def test_keywords_and_defaults(self):
-        ctl = SeriesControl(max_terms=50, min_terms=3)
-        assert ctl == SeriesControl(1e-12, 50, 3)
-        assert SeriesControl._fields == ("rel_tol", "max_terms", "min_terms")
+        ctl = SeriesControl(max_terms=50)
+        assert ctl == SeriesControl(1e-12, 50)
+        assert SeriesControl._fields == ("rel_tol", "max_terms")
+        assert SeriesControl(max_terms=5).max_terms == 5  # below the kernel's floor of 8
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan])
     def test_rel_tol_must_be_positive(self, rel_tol):
@@ -72,25 +77,25 @@ class TestSeriesControl:
             SeriesControl(rel_tol=rel_tol)
 
     @pytest.mark.parametrize("kw", [
-        {"min_terms": math.nan}, {"max_terms": math.inf}, {"max_terms": 100.0},
-        {"min_terms": "8"}, {"max_terms": None}, {"max_terms": True},
-        {"min_terms": True}, {"min_terms": np.float64(8.0)},
+        {"max_terms": math.nan}, {"max_terms": math.inf}, {"max_terms": 100.0},
+        {"max_terms": "8"}, {"max_terms": None}, {"max_terms": True},
+        {"max_terms": False}, {"max_terms": np.float64(8.0)},
     ])
     def test_term_counts_must_be_integers(self, kw):
-        with pytest.raises(DomainError, match="^min_terms and max_terms must be integers, got "):
+        with pytest.raises(DomainError, match="^max_terms must be an integer, got "):
             SeriesControl(**kw)
 
     def test_numpy_integer_counts_become_ints(self):
-        ctl = SeriesControl(max_terms=np.int64(100), min_terms=np.int32(3))
-        assert ctl == SeriesControl(1e-12, 100, 3)
-        assert type(ctl.max_terms) is int and type(ctl.min_terms) is int
+        ctl = SeriesControl(max_terms=np.int64(100))
+        assert ctl == SeriesControl(1e-12, 100)
+        assert type(ctl.max_terms) is int
 
+    # the one order left: 1 <= max_terms
     @pytest.mark.parametrize("kw", [
-        {"min_terms": 0}, {"min_terms": -3}, {"min_terms": 10, "max_terms": 5},
-        {"max_terms": 0},
+        {"max_terms": 0}, {"max_terms": -3}, {"max_terms": np.int32(0)}, {"max_terms": -10**400},
     ])
     def test_term_counts_must_be_ordered(self, kw):
-        with pytest.raises(DomainError, match=r"^need 1 <= min_terms <= max_terms$"):
+        with pytest.raises(DomainError, match=r"^max_terms must be at least 1$"):
             SeriesControl(**kw)
 
     def test_replace_validates(self):
@@ -99,8 +104,7 @@ class TestSeriesControl:
         assert SeriesControl()._replace(max_terms=9).max_terms == 9
 
     def test_one_shared_default(self):
-        assert free_energy._DEFAULT_CTL is specfun._DEFAULT_CTL
-        assert specfun._DEFAULT_CTL == SeriesControl()
+        assert free_energy._DEFAULT_CTL == SeriesControl()
 
 
 class TestEvalResult:

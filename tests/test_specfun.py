@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from casimir_plates.errors import DomainError
+from casimir_plates.free_energy import ZETA3, SeriesControl
 from casimir_plates.specfun import (
-    ZETA3,
-    SeriesControl,
     coth_stable,
     inv_sinh_stable,
     macdonald_half,
@@ -152,10 +151,9 @@ class TestSeriesControl:
         ctl = SeriesControl()
         assert ctl.rel_tol == 1e-12
         assert ctl.max_terms == 10**6
-        assert ctl.min_terms == 8
 
     def test_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(rel_tol=0.0)
         with pytest.raises(DomainError):
-            SeriesControl(min_terms=10, max_terms=5)
+            SeriesControl(max_terms=0)
