@@ -34,12 +34,7 @@ import operator
 import sys as _sys
 from collections import namedtuple
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    SlowConvergenceError,
-    UnsupportedRepresentationError,
-)
+from .errors import ConvergenceError, DomainError, UnsupportedRepresentationError
 
 __all__ = [
     "SeriesControl",
@@ -73,7 +68,13 @@ class SeriesControl(_record("SeriesControl", "rel_tol max_terms")):
     ``max_terms``, an integer of at least 1, raises
     :class:`~casimir_plates.errors.ConvergenceError` (or its subclass
     :class:`~casimir_plates.errors.SlowConvergenceError`) instead of
-    returning silently.  A series whose tail estimate is heuristic sums at
+    returning silently.  Each evaluator caps its own count: the conductor
+    kernel (rows ``auto``, ``coth``, ``poisson``) each half's sum, so a
+    Boyer pair's ``terms_used``, the sum over its two halves, may exceed
+    ``max_terms``; the double sum (``double``, ``bessel``) all its (n, m)
+    terms together, as its ``terms_used`` counts them; the mode integral its
+    thresholds; the lattice sums each half's Epstein sum; the thermal-log
+    pressure its terms.  A series whose tail estimate is heuristic sums at
     least ``_MIN_TERMS`` terms first; the conductor kernel, whose tail bound
     is proven from the first term, may stop before that floor, once the
     bound is below min(rel_tol, eps/2) of the partial sum: where its tail
@@ -203,7 +204,6 @@ _BESSEL_THERMAL_SIGN = 1.0
 # the self-dual point of the conductors' temperature inversion, where the
 # coth tail ratio e^(-1/xi) equals the Poisson one e^(-4 pi^2 xi)
 _COTH_POISSON_SPLIT = 1.0 / (2.0 * math.pi)
-_POISSON_XI_FLOOR = 0.05  # _pair refuses the Poisson route below this xi: too slow there
 _EPS = _sys.float_info.epsilon
 _INF = math.inf
 # the largest finite float: a bound x <= _MAX, unlike x < inf, also refuses
@@ -421,8 +421,9 @@ def _per_area(value: float, err: float, d: float, power: int):
 def _pair(kind: PlateKind, d: float, xi: float, pressure: bool, ctl=None, route=None):
     """F/L^2 (pressure: P) of the pair ``kind`` at separation d and xi, on
     ``route`` of the kernel or, with None, the routed one: the one way into
-    the kernel.  An explicit Poisson route below xi = 0.05 is the package's
-    one floor; the pressure's coth route is reported as 'dfdxi'."""
+    the kernel.  Either route serves every xi > 0, though far from its
+    regime it runs to hundreds of terms; the pressure's coth route is
+    reported as 'dfdxi'."""
     # _route and _per_area's scaling are written out here, not called: on
     # the routed path two more calls cost a few percent of an evaluation
     if route is None:
@@ -430,11 +431,6 @@ def _pair(kind: PlateKind, d: float, xi: float, pressure: bool, ctl=None, route=
             route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
         else:
             route = _route(xi)
-    elif route == "poisson" and xi < _POISSON_XI_FLOOR:
-        raise SlowConvergenceError(
-            f"the poisson representation converges too slowly below xi={_POISSON_XI_FLOOR}; "
-            "use the coth series"
-        )
     value, _, err, terms = _pair_profile(kind, xi, route, pressure, ctl)
     value, err = value / d / d / d, err / d / d / d
     if pressure:
@@ -557,10 +553,12 @@ def _kernel_row(pressure: bool, route: str | None):
 
 _BOTH = frozenset(PlateKind)
 _BOYER = frozenset((PlateKind.BOYER_MIXED,))
+# the Macdonald-function sum is the double sum term for term: one row, two names
+_DOUBLE = (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER)
 # The one table of what the package serves: each (quantity, representation)
 # row is (evaluator(sys, xi, ctl) -> EvalResult, the plate kinds it serves),
 # and a missing row or kind is the refusal (_evaluator).  A validation row
-# loads ``forms`` when called; pressure.py adds the pressure rows.
+# loads ``forms`` when called.
 _SERVED = {
     ("free_energy", "auto"): (_kernel_row(False, None), _BOTH),
     ("free_energy", "coth"): (_kernel_row(False, "coth"), _BOTH),
@@ -569,12 +567,16 @@ _SERVED = {
         lambda sys, xi, ctl: free_energy_lattice(sys, ThermalPoint(xi), ctl), _BOTH),
     ("free_energy", "low"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, False), _BOTH),
     ("free_energy", "high"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, True), _BOTH),
-    ("free_energy", "double"): (lambda sys, xi, ctl: _forms()._double(sys, xi, ctl), _BOYER),
+    ("free_energy", "double"): _DOUBLE,
+    ("free_energy", "bessel"): _DOUBLE,
     ("free_energy", "mode-integral"): (lambda sys, xi, ctl: _forms().free_energy_mode_integral(
         sys, ThermalPoint(xi), ctl), _BOYER),
+    ("pressure", "auto"): (_kernel_row(True, None), _BOTH),
+    ("pressure", "coth"): (_kernel_row(True, "coth"), _BOTH),
+    ("pressure", "poisson"): (_kernel_row(True, "poisson"), _BOTH),
+    ("pressure", "low"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, False, True), _BOTH),
+    ("pressure", "high"): (lambda sys, xi, ctl: _forms()._closed_form(sys, xi, True, True), _BOTH),
 }
-# an alias: the Macdonald-function sum is the double sum term for term
-_SERVED["free_energy", "bessel"] = _SERVED["free_energy", "double"]
 
 
 def _evaluator(quantity: str, rep: RepresentationKind | str, kind: PlateKind, xi: float):

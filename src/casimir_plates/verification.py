@@ -74,8 +74,7 @@ def _representation_equivalence(grid, out: list):
     for xi in grid:
         ref = _row("free_energy", "coth", _BOYER_PAIR, xi).value
         for rep in dev:
-            if rep != "poisson" or xi >= 0.1:
-                dev[rep] = max(dev[rep], abs(_row("free_energy", rep, _BOYER_PAIR, xi).value - ref))
+            dev[rep] = max(dev[rep], abs(_row("free_energy", rep, _BOYER_PAIR, xi).value - ref))
     for rep, tol in tolerances.items():
         out.append(_check(f"equivalence/{rep}-vs-coth", dev[rep], tol))
     # the conducting pair's two kernel routes, which the router switches between
@@ -115,31 +114,32 @@ def _identities(out: list):
 def _pressure(grid, out: list):
     worst_pair = 0.0
     for xi in grid:
-        if xi < fe._POISSON_XI_FLOOR:
-            continue
         a = _row("pressure", "coth", _BOYER_PAIR, xi).value
         b = _row("pressure", "poisson", _BOYER_PAIR, xi).value
         worst_pair = max(worst_pair, abs(a - b))
     out.append(_check("pressure/dfdxi-vs-poisson", worst_pair, 1e-8))
-    worst_fd = 0.0
+    # the routed pressure of each pair against -dF/dd at fixed beta
     d = 1.0
-    for xi in (0.1, 0.5, 1.0, 2.0):
-        if grid is not GRIDS["default"] and xi not in grid:
-            continue
-        beta = d / (math.pi * xi)
-        h = 1e-5 * d
-        fp = _row("free_energy", "auto", PlateSystem(d + h), (d + h) / (math.pi * beta)).value
-        fm = _row("free_energy", "auto", PlateSystem(d - h), (d - h) / (math.pi * beta)).value
-        p = _row("pressure", "auto", _BOYER_PAIR, xi).value
-        worst_fd = max(worst_fd, abs(p + (fp - fm) / (2.0 * h)) / abs(p))
-    out.append(_check("pressure/energy-consistency", worst_fd, 1e-5))
+    for name, pair in (("energy-consistency", _BOYER_PAIR),
+                       ("conductor-energy-consistency", _CONDUCTOR_PAIR)):
+        worst_fd = 0.0
+        for xi in (0.1, 0.5, 1.0, 2.0):
+            if grid is not GRIDS["default"] and xi not in grid:
+                continue
+            beta = d / (math.pi * xi)
+            h = 1e-5 * d
+            fp, fm = (_row("free_energy", "auto", PlateSystem(dd, pair.kind),
+                           dd / (math.pi * beta)).value for dd in (d + h, d - h))
+            p = _row("pressure", "auto", pair, xi).value
+            worst_fd = max(worst_fd, abs(p + (fp - fm) / (2.0 * h)) / abs(p))
+        out.append(_check(f"pressure/{name}", worst_fd, 1e-5))
     p0 = pressure_zero_T(_BOYER_PAIR)
     cancel = abs(_row("pressure", "poisson", _BOYER_PAIR, 0.05).value / p0 - 1.0)
     out.append(_check("pressure/zero-T-cancellation", cancel, 2e-4))
     # P = 3F - xi dF/dxi between the composed pressure and free energy, on
     # both routes of the kernel
     worst = max(_thermodynamic_residual(xi, route, _CTL) for xi in grid
-                for route in ("coth", "poisson") if route == "coth" or xi >= fe._POISSON_XI_FLOOR)
+                for route in ("coth", "poisson"))
     out.append(_check("pressure/thermodynamic-identity", worst, 1e-6))
     # the routed pressure against zero-T plus the thermal-log series, which
     # does not use the conductor kernel, in units of the sum of their bars

@@ -36,6 +36,13 @@ class TestEval:
         assert float(out[0]) == pytest.approx(0.875 * math.pi**2 / 240.0, rel=1e-14)
         assert float(out[1]) == 0.0
 
+    def test_conductor_pressure_at_zero_xi(self, capsys):
+        assert run_main(["eval", "--quantity", "pressure", "--system", "conductor",
+                         "--xi", "0"]) == 0
+        out = capsys.readouterr().out.split()
+        assert float(out[0]) == pytest.approx(-math.pi**2 / 240.0, rel=1e-15)
+        assert out[1:] == ["0.000e+00", "0", "zero-T"]
+
     def test_output_format(self, capsys):
         assert run_main(["eval", "--quantity", "free_energy", "--xi", "0.5"]) == 0
         fields = capsys.readouterr().out.split()
@@ -166,17 +173,12 @@ class TestEvalErrors:
     def test_pressure_for_conductor(self):
         assert run_main(
             ["eval", "--quantity", "pressure", "--xi", "0.5", "--system", "conductor"]
-        ) == 3
+        ) == 0
 
     def test_unsupported_rep_for_conductor(self):
         assert run_main(
             ["eval", "--quantity", "free_energy", "--xi", "0.5",
              "--system", "conductor", "--rep", "bessel"]
-        ) == 3
-
-    def test_poisson_below_floor(self):
-        assert run_main(
-            ["eval", "--quantity", "free_energy", "--xi", "0.01", "--rep", "poisson"]
         ) == 3
 
     @pytest.mark.parametrize("quantity", ["free_energy", "pressure"])
@@ -320,14 +322,12 @@ CENSUS_XI = ("0", "1e-5", "0.01", "0.5")
 
 def served(quantity, system, rep, xi):
     """The served set, written out: what ``casimir eval`` answers with exit 0."""
-    if quantity in ("pressure", "p_scaled"):  # the kernel's routes and closed forms, Boyer only
-        if system == "conductor" or rep not in ("auto", "coth", "poisson", "low", "high"):
+    if quantity in ("pressure", "p_scaled"):  # the kernel's routes and closed forms, both pairs
+        if rep not in ("auto", "coth", "poisson", "low", "high"):
             return False
     if xi in (0.0, 1e-5):  # the zero-temperature route serves every row
         return True
-    if system == "conductor" and rep in ("double", "bessel", "mode-integral"):
-        return False
-    return rep != "poisson" or xi >= 0.05  # the Poisson floor
+    return system == "boyer" or rep not in ("double", "bessel", "mode-integral")
 
 
 class TestServedSet:
@@ -346,12 +346,10 @@ class TestServedSet:
                     assert code == 0, (point, err)
                     continue
                 assert code == 3 and out == "", point
-                if rep == "poisson" and (quantity[0] == "f" or system == "boyer"):
-                    assert "converges too slowly below xi=0.05" in err, point
-                else:  # a missing row names the quantity, the rep and the pair
-                    table_quantity = "free_energy" if quantity[0] == "f" else "pressure"
-                    assert f"{table_quantity} in representation '{rep}'" in err, point
-                    assert f"for the {system} pair" in err, point
+                # a missing row names the quantity, the rep and the pair
+                table_quantity = "free_energy" if quantity[0] == "f" else "pressure"
+                assert f"{table_quantity} in representation '{rep}'" in err, point
+                assert f"for the {system} pair" in err, point
 
 
 def assert_finite_or_exit_3(argv):
@@ -415,7 +413,8 @@ DEFAULT_BATTERY_ROWS = {
     "equivalence/conductor-poisson-vs-coth",
     "tis/f1", "tis/f2", "tis/nontrivial", "tis/fixed-points", "tis/boyer-naive-fails",
     "identities/alternating-and-plain",
-    "pressure/dfdxi-vs-poisson", "pressure/energy-consistency", "pressure/zero-T-cancellation",
+    "pressure/dfdxi-vs-poisson", "pressure/energy-consistency",
+    "pressure/conductor-energy-consistency", "pressure/zero-T-cancellation",
     "asymptotics/low-T", "asymptotics/high-T", "asymptotics/pressure-high-T",
     "epstein/continuation-vs-direct", "epstein/exchange-and-homogeneity",
     "split/f1-minus-f2", "split/sb-to-casimir", "split/conductor-kernel-vs-lattice",

@@ -285,11 +285,6 @@ class TestRepresentationEquivalence:
             3.0 * z3 / (32.0 * math.pi * d * d * beta), rel=1e-2
         )
 
-    def test_poisson_floor_raises(self):
-        t = ThermalPoint.from_xi(0.01, 1.0)
-        with pytest.raises(SlowConvergenceError):
-            evaluate_free_energy(boyer(), t, TIGHT, "poisson")
-
 
 class TestScalingAndStructure:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
@@ -383,12 +378,11 @@ class TestConductorRepresentations:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(math.log(1e-3), math.log(30.0)).map(math.exp),
            st.sampled_from([("free_energy", "boyer"), ("free_energy", "conductor"),
-                            ("pressure", "boyer")]),
+                            ("pressure", "boyer"), ("pressure", "conductor")]),
            st.sampled_from(["low", "high"]))
     def test_closed_form_within_its_bar(self, xi, quantity_kind, rep):
         # the closed forms' remainder bound against the pair's profile in
-        # mpmath, with no slack, also far outside the form's own range; the
-        # pressure's rows serve the Boyer pair only
+        # mpmath, with no slack, also far outside the form's own range
         quantity, kind = quantity_kind
         sys, pressure = PlateSystem(1.0, kind), quantity == "pressure"
         r = _evaluator(quantity, rep, sys.kind, xi)(sys, xi, None)
@@ -621,9 +615,22 @@ class TestConductorKernel:
                 _pair_profile(PlateKind.CONDUCTOR_CONDUCTOR, 5.0, "coth", False,
                               SeriesControl(max_terms=budget))
 
+    def test_max_terms_caps_each_sum(self):
+        # the kernel's budget caps each half's sum, not terms_used, which
+        # adds the halves: at xi = 0.05 the Boyer pair's halves take 4 and 2
+        # terms, and a budget of 3 is short of the first; the double sum's
+        # budget caps all its terms, the count its terms_used reports
+        assert free_energy_auto(boyer(), 0.05, SeriesControl(max_terms=4)).terms_used == 6
+        with pytest.raises(ConvergenceError, match="within 3 terms"):
+            free_energy_auto(boyer(), 0.05, SeriesControl(max_terms=3))
+        used = f_scaled_double(0.05).terms_used
+        assert f_scaled_double(0.05, SeriesControl(max_terms=used)).terms_used == used
+        with pytest.raises(ConvergenceError):
+            f_scaled_double(0.05, SeriesControl(max_terms=used - 1))
+
     @settings(max_examples=30, deadline=None)
     @given(
-        st.floats(math.log(1e-3), math.log(30.0)).map(math.exp),
+        st.floats(math.log(_ZERO_T_XI), math.log(30.0)).map(math.exp),
         st.sampled_from(["coth", "poisson"]),
         st.booleans(),
         st.sampled_from([PlateKind.BOYER_MIXED, PlateKind.CONDUCTOR_CONDUCTOR]),

@@ -15,7 +15,6 @@ from casimir_plates import (
     PlateKind,
     PlateSystem,
     SeriesControl,
-    SlowConvergenceError,
     ThermalPoint,
     free_energy_auto,
     pressure_auto,
@@ -158,10 +157,7 @@ class TestCancellationAndAsymptotics:
         p0 = pressure_zero_T(boyer(d))
         got5 = pressure_row("poisson", ThermalPoint.from_xi(0.05, d), d).value
         assert got5 == pytest.approx(p0, rel=2e-4)
-        # the Poisson route of the kernel itself, d^4 P = P at d = 1: the
-        # poisson row refuses xi < 0.05
-        got4 = free_energy_module._pair_profile(PlateKind.BOYER_MIXED, 0.04, "poisson", True,
-                                                TIGHT)[0]
+        got4 = pressure_row("poisson", ThermalPoint.from_xi(0.04, d), d).value
         assert got4 == pytest.approx(p0, rel=1e-4)
 
     @pytest.mark.parametrize("beta,rtol", [(0.1, 1e-6), (0.5, 1e-3)])
@@ -212,6 +208,11 @@ class TestScalingAndSign:
             0.875 * math.pi**2 / 240.0, rel=1e-15
         )
 
+    @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
+    def test_conductor_zero_T_value(self, d):
+        got = pressure_zero_T(PlateSystem(d, "conductor"))
+        assert got == pytest.approx(-math.pi**2 / (240.0 * d**4), rel=1e-15)
+
     def test_router_zero_xi_exact(self):
         r = pressure_auto(1.0, 0.0)
         assert r.value == pressure_zero_T(boyer(1.0))
@@ -230,11 +231,6 @@ class TestValidation:
                 pressure_row("coth", t, bad)
         with pytest.raises(DomainError, match="xi"):
             pressure_auto(1.0, math.inf)
-
-    def test_poisson_floor(self):
-        t = ThermalPoint.from_xi(0.01, 1.0)
-        with pytest.raises(SlowConvergenceError):
-            pressure_row("poisson", t, 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -330,7 +326,7 @@ class TestInPathCheck:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(math.log(1e-3), math.log(10.0)).map(math.exp))
     def test_thermodynamic_identity(self, xi):
-        # both routes of the kernel, the Poisson one down to its floor
+        # both routes of the kernel, the Poisson one from xi = 0.05
         routes = ("coth", "poisson") if xi >= 0.05 else ("coth",)
         assert max(_thermodynamic_residual(xi, route) for route in routes) <= 1e-6
 
