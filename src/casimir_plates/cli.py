@@ -131,6 +131,8 @@ def _grid(xi_min: float, xi_max: float, points: int, spacing: str, usage_error):
         usage_error(f"--points must be at least 2, got {points}")
     if not 0.0 <= xi_min < xi_max:
         usage_error(f"need 0 <= --xi-min < --xi-max, got {xi_min!r} and {xi_max!r}")
+    if xi_max == math.inf:  # a grid to inf would hold inf * 0 = nan
+        usage_error(f"--xi-max must be finite, got {xi_max!r}")
     if spacing == "log":
         if xi_min <= 0.0:
             usage_error("--spacing log needs --xi-min > 0")
@@ -188,7 +190,7 @@ def _cmd_figure(args) -> int:
             if args.id == 2:
                 header += ",sb_curve"
             # the Stefan-Boltzmann curve: the conducting pair's x^4 monomial at high T
-            (c_sb, k_sb, _, _, _), _ = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
+            (c_sb, k_sb, _, _), _ = _PLANS[PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
             fb0 = zero_temperature_energy(PlateSystem(1.0))
             fc0 = zero_temperature_energy(PlateSystem(1.0, "conductor"))
             rows = []

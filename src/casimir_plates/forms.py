@@ -192,33 +192,33 @@ def free_energy_mode_integral(
 def _asymptotic_profile(kind: PlateKind, xi: float, high: bool, pressure: bool = False):
     """(d^3 F, error bar) (pressure: d^4 P) of a plate pair from its low- or
     high-temperature closed form: the kernel's coth (high: Poisson) plan cut
-    to its monomials and the slowest half's first term at leading order in
-    its tail ratio r (y ~ 2r, z ~ 4r, 1 + y ~ 1), -pi^2 x^2 (x + 1) e^(-1/x)
+    to its monomials and its series' first term at leading order in the
+    tail ratio r (y ~ 2r, z ~ 4r, 1 + y ~ 1), -pi^2 x^2 (x + 1) e^(-1/x)
     per unit weight of g at x = a xi on the coth plan.  The Poisson plan is
     the coth plan of the inverted pair, so the high-T form is its low-T one.
 
-    The bar: each half's series is at most t_1 (1 + y_1), the kernel's tail
-    bound, less what the form keeps of the slowest half's t_1; plus rounding,
-    (3 lam + 10) eps of the kept term (r = e^(-lam)), 4 eps of each monomial
-    and 2 eps |value|."""
-    (c0, k0, c1, k1, rate), halves = _PLANS[kind]["poisson" if high else "coth"][pressure]
-    bound = 0.0
+    The bar: T_1 is at least the kept term, and as the terms fall by r the
+    weighted rest is at most max(1, |w_e|) T_2/(1 - r) <= max(1, |w_e|)
+    T_2 (1 + y_1) (:func:`free_energy._pair`), so T_1 less the kept term plus
+    that; plus rounding, (3 lam + 10) eps of the kept term (r = e^(-lam)),
+    4 eps of each monomial and 2 eps |value|."""
+    (c0, k0, c1, k1), (rate, ka, kb, kc, ws, abs_ws, _, amp, _) = _PLANS[kind][
+        "poisson" if high else "coth"][pressure]
     try:
         xi2 = xi * xi
         lam, pa, pc = (rate * xi, xi, xi2 * xi) if high else (rate / xi, xi2 * xi, xi)
+        a, b, c = ka * pa, kb * xi2, kc * pc
         r = math.exp(-lam)
-        for (fast, ka, kb, kc), ws, abs_ws in halves:
-            a, b, c = ka * pa, kb * xi2, kc * pc if pressure else 0.0
-            rh, lh = (r * r, lam + lam) if fast else (r, lam)
-            h = 2.0 / (1.0 - rh) if rh < 0.5 else -2.0 / math.expm1(-lh)
-            y = h * rh
-            z = h * y
-            bound += abs_ws * (a * y + b * z + c * z * (1.0 + y)) * (1.0 + y)
-            if not fast:
-                kept = ws * (2.0 * a + 4.0 * b + 4.0 * c) * r
+        t, y = [], []
+        for m, rm in ((1, r), (2, r * r)):  # the series' first two terms T_m, and y_m
+            h = 2.0 / (1.0 - rm) if rm < 0.5 else -2.0 / math.expm1(-m * lam)
+            ym = h * rm
+            y.append(ym)
+            t.append((a * ym / m + (b + m * c * (1.0 + ym)) * h * ym) / (m * m))
+        kept = ws * (2.0 * a + 4.0 * b + 4.0 * c) * r
         m0, m1 = c0 * xi**k0, c1 * xi**k1
         value = kept + (m0 + m1)
-        err = bound - abs(kept) + _EPS * (
+        err = abs_ws * (t[0] + amp * t[1] * (1.0 + y[0])) - abs(kept) + _EPS * (
             (3.0 * lam + 10.0) * abs(kept) + 4.0 * (abs(m0) + abs(m1)) + 2.0 * abs(value))
     except OverflowError:
         value = err = math.inf
@@ -250,7 +250,7 @@ def _thermodynamic_residual(xi: float, route: str, ctl: SeriesControl | None = N
     1e-250: there the difference is not accurate enough to test anything.
     """
     h = 1e-5 * max(xi, 0.01)
-    rate = _PLANS[PlateKind.BOYER_MIXED][route][False][0][4] / (xi * xi if route == "coth" else 1.0)
+    rate = _PLANS[PlateKind.BOYER_MIXED][route][False][1][0] / (xi * xi if route == "coth" else 1.0)
     if not (xi > h and (h * rate) ** 2 / 6.0 < 1e-7):
         return 0.0
 

@@ -14,7 +14,8 @@ switches at x = 1/(2 pi), where the two ratios meet.  ``_pair`` is the one
 way into it: the router, the d^-3 (d^-4) scaling and its range check, for
 the routed functions, every kernel row of the table and the zero-T
 energies alike.  The Boyer pair is the split F = F1(2d) - F2(d):
-d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi).
+d^3 F = g(2 xi)/8 - g(xi), d^4 P = p(2 xi)/8 - p(xi), which the kernel sums
+as the slower half's series with its even terms re-weighted (``_plan``).
 The paper's modified TIS is the conductors' inversion x' = 1/(4 pi^2 x),
 g -> g and p -> 2 g - p times (2 pi x)^4, taken half by half: a half (a, w)
 at xi is the half (1/a, w a^4) at xi'.  Its coefficients are written once,
@@ -51,6 +52,12 @@ __all__ = [
     "free_energy_auto",
 ]
 
+_EPS = _sys.float_info.epsilon
+_INF = math.inf
+# the largest finite float: a bound x <= _MAX, unlike x < inf, also refuses
+# an integer past the float range, at the same cost for a float
+_MAX = _sys.float_info.max
+
 
 def _record(name: str, fields: str):
     """A namedtuple base for a record type whose subclass validates in
@@ -69,12 +76,12 @@ class SeriesControl(_record("SeriesControl", "rel_tol max_terms")):
     :class:`~casimir_plates.errors.ConvergenceError` (or its subclass
     :class:`~casimir_plates.errors.SlowConvergenceError`) instead of
     returning silently.  Each evaluator caps its own count: the conductor
-    kernel (rows ``auto``, ``coth``, ``poisson``) each half's sum, so a
-    Boyer pair's ``terms_used``, the sum over its two halves, may exceed
-    ``max_terms``; the double sum (``double``, ``bessel``) all its (n, m)
-    terms together, as its ``terms_used`` counts them; the mode integral its
-    thresholds; the lattice sums each half's Epstein sum; the thermal-log
-    pressure its terms.  A series whose tail estimate is heuristic sums at
+    kernel (rows ``auto``, ``coth``, ``poisson``) the one series it sums
+    per plate pair, the count its ``terms_used`` reports; the double sum
+    (``double``, ``bessel``) all its (n, m) terms together, as its
+    ``terms_used`` counts them; the mode integral its thresholds; the
+    lattice sums each half's Epstein sum; the thermal-log pressure its
+    terms.  A series whose tail estimate is heuristic sums at
     least ``_MIN_TERMS`` terms first; the conductor kernel, whose tail bound
     is proven from the first term, may stop before that floor, once the
     bound is below min(rel_tol, eps/2) of the partial sum: where its tail
@@ -86,6 +93,8 @@ class SeriesControl(_record("SeriesControl", "rel_tol max_terms")):
     def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10**6):
         if not rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
+        if not rel_tol <= _MAX:  # inf: no sum would be cut by its tolerance
+            raise DomainError(f"rel_tol must be finite, got {rel_tol!r}")
         try:
             if isinstance(max_terms, bool):
                 raise TypeError
@@ -204,11 +213,6 @@ _BESSEL_THERMAL_SIGN = 1.0
 # the self-dual point of the conductors' temperature inversion, where the
 # coth tail ratio e^(-1/xi) equals the Poisson one e^(-4 pi^2 xi)
 _COTH_POISSON_SPLIT = 1.0 / (2.0 * math.pi)
-_EPS = _sys.float_info.epsilon
-_INF = math.inf
-# the largest finite float: a bound x <= _MAX, unlike x < inf, also refuses
-# an integer past the float range, at the same cost for a float
-_MAX = _sys.float_info.max
 # the largest xi with exp(-1/(2 xi)) == 0.0, bisected between exp(-833) = 0 and exp(-714) > 0
 _ZERO_T_XI, _hi = 6e-4, 7e-4
 while _ZERO_T_XI < (_mid := 0.5 * (_ZERO_T_XI + _hi)) < _hi:
@@ -263,17 +267,21 @@ def _inverted(c: float, k: int):
 
 
 def _plan(halves, route: str, p: bool):
-    """What :func:`_pair_profile` composes on a route: ((c0, k0, c1, k1,
-    rate), halves), c x^k the pair's monomials combined over its halves
-    (the Boyer pair's zeta(3) x^3 cancels exactly), and e^(-rate/xi) (coth)
-    or e^(-rate xi) (Poisson) its slowest tail ratio.  A half is ((fast, kA,
-    kB, kC), ws, |ws|), a fast one at twice that rate, with term n
-    ws (A y/n^3 + B z/n^2 + C z (1 + y)/n), A = kA xi^3 (Poisson: kA xi),
-    B = kB xi^2, C = kC xi (kC xi^3).  'zero-T' has no series.
+    """What :func:`_pair` sums on a route: ((c0, k0, c1, k1), series), c x^k
+    the pair's monomials combined over its halves (the Boyer pair's zeta(3)
+    x^3 cancels exactly), series None on 'zero-T', else (rate, kA, kB, kC,
+    ws, |ws|, w_e, max(1, |w_e|), |w_e| - w_e): ws sum_m w_m T_m, w_m 1 on
+    odd and w_e on even m, T_m = A y/m^3 + B z/m^2 + C z (1 + y)/m,
+    A = kA xi^3 (Poisson: kA xi), B = kB xi^2, C = kC xi (kC xi^3), at the
+    tail ratio e^(-rate/xi) (coth) or e^(-rate xi) (Poisson).
 
-    On the coth route, alpha g + beta p has (A, B, C) = -pi^2/8 (4 alpha x^3,
-    2 alpha x^2, -2 beta x), the sign in ws.  The Poisson plan is the coth plan
-    of the inverted pair and of (alpha + 2 beta) g - beta p, each term mapped
+    On the coth route, alpha g + beta p of a half (a, w) has term n
+    -pi^2/8 w (4 alpha a^3 y/n^3 + 2 alpha a^2 z/n^2 - 2 beta a z (1 + y)/n)
+    times xi^3, xi^2, xi at v = n/(2 a xi), the sign in ws.  So a half
+    (a/2, w') has at term n the v and coefficients of the slowest half's
+    term 2n, times w'/w: w_e = 1 + w'/w for every part (Boyer: -7 = 1 - 2^3;
+    conductors: 1).  The Poisson plan is the coth plan of the inverted pair
+    (Boyer: w_e = -1) and of (alpha + 2 beta) g - beta p, each term mapped
     by :func:`_inverted`, and the rate 1/a' = a times _TIS.
     """
     alpha, beta = (0.0, 1.0) if p else (1.0, 0.0)
@@ -285,16 +293,15 @@ def _plan(halves, route: str, p: bool):
         to_xi(c * (alpha + beta * (3 - k)) * math.fsum(w * a**k for a, w in halves), k)
         for c, k in _MONOMIALS)
     if route == "zero-T":
-        return (c0, k0, c1, k1, 0.0), ()
-    slow = max(a for a, _ in halves)
-    series = []
-    for a, w in halves:
-        ks = (4.0 * alpha * a**3, 2.0 * alpha * a**2, -2.0 * beta * a)
-        ws = -math.pi**2 / 8.0 * (-w if sum(ks) < 0.0 else w)
-        ks = (to_xi(abs(k), power)[0] for k, power in zip(ks, (3, 2, 1)))  # on x^3, x^2, x
-        series.append(((a != slow, *ks), ws, abs(ws)))
-    rate = 1.0 / slow * (_TIS if route == "poisson" else 1.0)
-    return (c0, k0, c1, k1, rate), tuple(series)
+        return (c0, k0, c1, k1), None
+    a, w = max(halves)  # the slowest half
+    w_even = 1.0 + math.fsum(v for b, v in halves if b != a) / w
+    ks = (4.0 * alpha * a**3, 2.0 * alpha * a**2, -2.0 * beta * a)
+    ws = -math.pi**2 / 8.0 * (-w if sum(ks) < 0.0 else w)
+    ka, kb, kc = (to_xi(abs(k), power)[0] for k, power in zip(ks, (3, 2, 1)))  # on x^3, x^2, x
+    rate = 1.0 / a * (_TIS if route == "poisson" else 1.0)
+    return (c0, k0, c1, k1), (rate, ka, kb, kc, ws, abs(ws), w_even, max(1.0, abs(w_even)),
+                              abs(w_even) - w_even)
 
 
 # _PLANS[kind][route] is (free-energy plan, pressure plan), indexed by the
@@ -306,103 +313,117 @@ _PLANS = {
 }
 
 
-def _pair_profile(
-    kind: PlateKind, xi: float, route: str, pressure: bool, ctl: SeriesControl | None = None
-):
-    """d^3 F (pressure: d^4 P) of a plate pair, every half in one pass.
+def _pair(kind: PlateKind, d: float, xi: float, pressure: bool, ctl=None, route=None,
+          plans=_PLANS):
+    """F/L^2 (pressure: P) of the pair ``kind`` at separation d and xi, on
+    ``route`` of the kernel or, with None, the routed one: the one way into
+    the kernel.  Either route serves every xi > 0, though far from its
+    regime it runs to hundreds of terms; the pressure's coth route is
+    reported as 'dfdxi'.  ``plans`` is :data:`_PLANS` or, for
+    :func:`_pair_profile`, the same plans without their monomials.
 
-    Returns (value, series part, error bar, terms).  The monomials are
-    combined over the halves first (the Boyer pair's zeta(3) x^3 terms
-    cancel exactly); route 'zero-T' keeps them alone, with bar 0.
+    The value is the plan's monomials (alone, bar 0, on 'zero-T') plus
+    ws S, S = sum_m w_m T_m (:func:`_plan`), scaled by d^-3 (d^-4).  With
+    r = e^(-2v), v = m/(2x), D = 1 - r, y = coth v - 1 = 2r/D, z = csch^2 v
+    = 2y/D, T_m needs r_m = r_1^m, r_1 = e^(-rate), rate = 1/x or 4 pi^2 x:
+    one exp, then r_m = r_(m-1) r_1, D = 1 - r_m while r_m < 1/2 (routed
+    points have r_1 <= e^(-pi)), -expm1(-m rate) from there.
 
-    Series.  With r = e^(-2v), v = n/(2x), D = 1 - r, y = coth v - 1 = 2r/D
-    and z = csch^2 v = 2y/D the conducting profile's coth terms are
-      g: (4x^3 y/n + 2x^2 z)/n^2     p: x z (1 + y)/n
-    (times -pi^2/8 and pi^2/4); the Poisson route is the coth route of the
-    inverted pair (:func:`_plan`), at x' = 1/(4 pi^2 x).
-    They need r_n = r_1^n, r_1 = e^(-rate), rate = 1/x or 4 pi^2 x.  One
-    exp gives the slowest half's r_1, the other half's is its square, and
-    each half runs r_n = r_(n-1) r_1, with D_n = 1 - r_n while r_n < 1/2
-    (routed points have r_1 <= e^(-pi)), -expm1(-n rate) from 1/2 up.
-
-    Tail.  Each term is r^n times factors n^-k, D^-j, r^n, 1 + y that do
-    not increase with n, so the terms fall by r_1 or more each, the tail
-    after a term t is at most t r_1/(1 - r_1), and q t, q = 2 r_1/D_1,
-    bounds it with a factor 2 to spare for rounding.  A half stops at the
-    first n with q t <= tol partial, tol = min(rel_tol, eps/2) below
-    ``_MIN_TERMS`` (early only once its tail cannot move the double
-    result), rel_tol from there on; ``ctl.max_terms`` is a ConvergenceError.
+    Tail.  T_m is r^m times factors m^-k, D^-j, r^m, 1 + y that do not
+    increase with m, so the terms fall by r_1 or more each and, with
+    amp = max(1, |w_e|) >= |w_m|, the tail after T_N is at most
+    amp T_N r_1/(1 - r_1); q amp T_N, q = 2 r_1/D_1, bounds it with a factor
+    2 to spare for rounding.  The sum stops at the first N with
+    q amp T_N <= tol S_N, tol = min(rel_tol, eps/2) below ``_MIN_TERMS``
+    (early only once its tail cannot move the double result), rel_tol from
+    there on (an S_N <= 0 never stops it); ``max_terms`` is a ConvergenceError.
 
     Rounding, to first order in u = eps/2, exp and expm1 within 1 ulp: the
-    rate carries 3u, so r_1 is within (3 rate + 5)u, r_n within
-    rho_n = n (3 rate + 6)u.  A term is at most r^2/D^3 in r and D, with
-    18u from its other factors and operations; D = 1 - r carries
-    w rho_n + u (w = r/D <= min(1, q/2)), expm1's D 6u.  So term n is within
-    (2 + 3w) rho_n + 36u, sum_n n t_n <= (1 + q/2) s as the terms fall by
-    r_1, the running sum of N terms adds (N - 1)u s, and as
-    (3 + 4.5 min(1, q/2))(1 + q/2) <= 3 + 6q a half's rounding allowance is
-      eps s ((3 + 6q)(rate + 2) + 18 + N/2)
-    (a term whose r_n is subnormal is below 2^-1021 of its coefficients).
-    The bar adds to the halves' weighted tail bounds and allowances 4 eps of
-    the monomials and eps |value| per rounding of their sum and its scaling.
+    rate carries 3u, so r_m is within rho_m = m (3 rate + 6)u.  A term is at
+    most r^2/D^3 in r and D, with 18u from its other factors and operations;
+    D = 1 - r carries omega rho_m + u (omega = r/D <= min(1, q/2)), expm1's
+    D 6u; so T_m is within (2 + 3 omega) rho_m + 36u.  With
+    s = sum_m |w_m| T_m >= sum_m T_m (|w_e| >= 1) and the tails above,
+    sum_m m |w_m| T_m <= s + amp (q/2) sum_m T_m <= (1 + amp q/2) s.  The
+    running sum adds (N - 1)u s, the products w_e T_m u s (w_e = -1 and 1
+    are exact), and (3 + 4.5 min(1, q/2))(1 + amp q/2) <= 3 + 6 amp q, so
+      eps s ((3 + 6 amp q)(rate + 2) + 18 + N/2),
+    s = S + (|w_e| - w_e) times the even T_m, is the sum's rounding allowance
+    (a term whose r_m is subnormal is below 2^-1021 of its coefficients).
+    The bar is |ws| times the tail bound and the allowance, plus 4 eps of
+    the monomials and eps |value| per rounding of their sum and scaling.
     """
-    (c0, k0, c1, k1, rate), halves = _PLANS[kind][route][pressure]
-    rel_tol, max_terms = ctl or _DEFAULT_CTL
-    min_terms = _MIN_TERMS
-    s_part, err, terms = 0.0, 0.0, 0
+    # _route and _per_area's scaling are written out here, not called: on
+    # the routed path two more calls cost a few percent of an evaluation
+    if route is None:
+        if _ZERO_T_XI < xi < _INF:
+            route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
+        else:
+            route = _route(xi)
+    (c0, k0, c1, k1), series = plans[kind][route][pressure]
+    err, n = 0.0, 0
     try:
         m0, m1 = c0 * xi**k0, c1 * xi**k1
-        if halves:
-            xi2, coth = xi * xi, route == "coth"
-            rate, pa, pc = (rate / xi, xi2 * xi, xi) if coth else (rate * xi, xi, xi2 * xi)
-            base = math.exp(-rate)
+        if series:
+            rate, ka, kb, kc, ws, abs_ws, w_even, amp, spread = series
+            rel_tol, max_terms = ctl or _DEFAULT_CTL
+            xi2 = xi * xi
+            lam, a, b, c = ((rate / xi, ka * (xi2 * xi), kb * xi2, kc * xi) if route == "coth"
+                            else (rate * xi, ka * xi, kb * xi2, kc * (xi2 * xi)))
+            r = r1 = math.exp(-lam)
+            h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-lam)
+            q = y = h * r
+            z, qa = h * y, q * amp
+            t = total = a * y + (b + c * (1.0 + y)) * z  # term 1, where dividing by m is exact
+            even, n = 0.0, 1
             early_tol = rel_tol if rel_tol < 0.5 * _EPS else 0.5 * _EPS
-            for (fast, ka, kb, kc), ws, abs_ws in halves:
-                if fast:
-                    lam = rate + rate
-                    r = r1 = base * base
-                else:
-                    lam = rate
-                    r = r1 = base
-                a, b = ka * pa, kb * xi2
-                h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-lam)
-                q = y = h * r
+            # early_tol <= rel_tol, so this is the stop rule above
+            while not (qa * t <= early_tol * total
+                       or (n >= _MIN_TERMS and qa * t <= rel_tol * total)):
+                if n == max_terms:
+                    raise ConvergenceError(
+                        f"conductor {route} series: no convergence within {max_terms} terms")
+                n += 1
+                r *= r1
+                h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-n * lam)
+                y = h * r
                 z = h * y
-                t = a * y + b * z  # term 1, where dividing by n is exact
-                if pressure:
-                    t += kc * pc * z * (1.0 + y)
-                total, n = t, 1
-                # early_tol <= rel_tol, so this is the stop rule above
-                while not (q * t <= early_tol * total
-                           or (n >= min_terms and q * t <= rel_tol * total)):
-                    if n == max_terms:
-                        raise ConvergenceError(
-                            f"conductor {route} series: no convergence within {max_terms} terms"
-                        )
-                    n += 1
-                    r *= r1
-                    h = 2.0 / (1.0 - r) if r < 0.5 else -2.0 / math.expm1(-n * lam)
-                    y = h * r
-                    z = h * y
-                    if pressure:
-                        t = ((a * y / n + b * z) / n + kc * pc * z * (1.0 + y)) / n
-                    else:
-                        t = (a * y / n + b * z) / (n * n)
+                t = (a * y / n + (b + n * c * (1.0 + y)) * z) / (n * n)
+                if n & 1:
                     total += t
-                s_part += ws * total
-                err += abs_ws * (
-                    q * t + ((3.0 + 6.0 * q) * (lam + 2.0) + 18.0 + 0.5 * n) * _EPS * total)
-                terms += n
-        # two monomials, so the plain sum rounds once, like fsum; a
-        # non-finite half gives inf or nan here, caught below
-        value = m0 + m1 + s_part
-        if halves:
-            err += _EPS * (4.0 * (abs(m0) + abs(m1)) + 2.0 * abs(value))
+                else:
+                    total += w_even * t
+                    even += t
+            # two monomials, so the plain sum rounds once, like fsum; a
+            # non-finite series gives inf or nan here, caught below
+            value = m0 + m1 + ws * total
+            err = abs_ws * (qa * t + ((3.0 + 6.0 * qa) * (lam + 2.0) + 18.0 + 0.5 * n)
+                            * _EPS * (total + spread * even)) + _EPS * (
+                4.0 * (abs(m0) + abs(m1)) + 2.0 * abs(value))
+        else:
+            value = m0 + m1
     except OverflowError:
-        value = math.inf
+        value = _INF
     if not (-_INF < value < _INF and err < _INF):
         raise DomainError(f"the plate-pair profile at xi={xi!r} overflows the floating-point range")
-    return value, s_part, err, terms
+    value, err = value / d / d / d, err / d / d / d
+    if pressure:
+        value, err = value / d, err / d
+        if route == "coth":
+            route = "dfdxi"
+    if not (-_INF < value < _INF and err < _INF):
+        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
+    return tuple.__new__(EvalResult, (value, err, n, route))
+
+
+def _pair_profile(kind: PlateKind, xi: float, route: str, pressure: bool, ctl=None):
+    """(value, series part, error bar, terms) of d^3 F (pressure: d^4 P) of
+    a plate pair on ``route``: :func:`_pair` at d = 1, and at d = 1 on the
+    pair's plans, as they are now, without their monomials for the series
+    part."""
+    value, err, terms, _ = _pair(kind, 1.0, xi, pressure, ctl, route)
+    bare = {kind: {route: tuple(((0.0, 0, 0.0, 0), series) for _, series in _PLANS[kind][route])}}
+    return value, _pair(kind, 1.0, xi, pressure, ctl, route, bare).value, err, terms
 
 
 def _per_area(value: float, err: float, d: float, power: int):
@@ -416,30 +437,6 @@ def _per_area(value: float, err: float, d: float, power: int):
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"the result at d={d!r} is outside the floating-point range")
     return value, err
-
-
-def _pair(kind: PlateKind, d: float, xi: float, pressure: bool, ctl=None, route=None):
-    """F/L^2 (pressure: P) of the pair ``kind`` at separation d and xi, on
-    ``route`` of the kernel or, with None, the routed one: the one way into
-    the kernel.  Either route serves every xi > 0, though far from its
-    regime it runs to hundreds of terms; the pressure's coth route is
-    reported as 'dfdxi'."""
-    # _route and _per_area's scaling are written out here, not called: on
-    # the routed path two more calls cost a few percent of an evaluation
-    if route is None:
-        if _ZERO_T_XI < xi < _INF:
-            route = "coth" if xi < _COTH_POISSON_SPLIT else "poisson"
-        else:
-            route = _route(xi)
-    value, _, err, terms = _pair_profile(kind, xi, route, pressure, ctl)
-    value, err = value / d / d / d, err / d / d / d
-    if pressure:
-        value, err = value / d, err / d
-        if route == "coth":
-            route = "dfdxi"
-    if not (-_INF < value < _INF and err < _INF):
-        raise DomainError(f"the result at d={d!r} is outside the floating-point range")
-    return tuple.__new__(EvalResult, (value, err, terms, route))
 
 
 def f_nontrivial(xi: float, ctl: SeriesControl | None = None) -> EvalResult:

@@ -5,12 +5,12 @@ Positive pressure means repulsion (the plates are pushed apart).  The
 pressure's rows of the table ``free_energy._SERVED``, for both pairs, are
 ``auto`` (routed), ``coth`` (reported as ``dfdxi``) and ``poisson``, the
 kernel's pressure profile on either route (conductors: d^4 P = p(xi),
-Boyer pair: p(2 xi)/8 - p(xi), with p = 3 g - x g'), each one call of
-``free_energy._pair``, and ``low`` and ``high``, its closed forms in
-``forms``.  The Poisson route is the coth route of the pair inverted by
-the paper's modified TIS (x' = 1/(4 pi^2 x), each half (a, w) ->
-(1/a, w a^4), g -> g, p -> 2 g - p).  The thermal-log series, an
-independent evaluation, lives in ``forms``.  The relation
+Boyer pair: p(2 xi)/8 - p(xi), p = 3 g - x g', as one series with its even
+terms re-weighted), each one call of ``free_energy._pair``, and ``low`` and
+``high``, its closed forms in ``forms``.  The Poisson route is the coth
+route of the pair inverted by the paper's modified TIS (x' = 1/(4 pi^2 x),
+each half (a, w) -> (1/a, w a^4), g -> g, p -> 2 g - p).  The thermal-log
+series, an independent evaluation, lives in ``forms``.  The relation
 P = 3F - xi dF/dxi between the composed pressure and free energy holds by
 construction of the profiles, so it is checked once in ``casimir verify``
 (``forms._thermodynamic_residual``), not on every call; so is the

@@ -204,7 +204,7 @@ def low_T_from_high_T(xi: float) -> dict:
     'low'), which comes first: it rejects a xi that is not finite and
     positive or whose x^3 overflows."""
     direct = evaluate_free_energy(PlateSystem(1.0), ThermalPoint(xi), None, "low").value
-    (c0, k0, c1, k1, rate), (((_, ka, kb, _), ws, _),) = _PLANS[
+    (c0, k0, c1, k1), (rate, ka, kb, _, ws, *_) = _PLANS[
         PlateKind.CONDUCTOR_CONDUCTOR]["poisson"][False]
     parts = [w * c * (a * xi) ** k for a, w in _HALVES[PlateKind.BOYER_MIXED]
              for c, k in (_inverted(c0, k0), _inverted(c1, k1))]

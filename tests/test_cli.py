@@ -153,6 +153,18 @@ class TestUsageErrors:
         ) == 2
         assert "--spacing log" in usage_reason(capsys)
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_sweep_infinite_max(self, tmp_path, capsys, spacing):
+        # a usage error naming the flag, not an evaluation error about a nan
+        # xi the user never typed
+        out = tmp_path / "x.csv"
+        assert run_main(
+            ["sweep", "--quantity", "free_energy", "--xi-min", "0.1", "--xi-max", "inf",
+             "--spacing", spacing, "--out", str(out)]
+        ) == 2
+        assert usage_reason(capsys) == "--xi-max must be finite, got inf"
+        assert not out.exists()
+
     def test_unknown_grid(self, capsys):
         assert run_main(["verify", "--grid", "fine"]) == 2
         assert usage_reason(capsys) == (

@@ -27,12 +27,14 @@ from casimir_plates import (
 )
 from casimir_plates.forms import f_scaled_double, free_energy_mode_integral
 from casimir_plates.free_energy import (
+    _HALVES,
     _MIN_TERMS,
     _PLANS,
     _SERVED,
     _ZERO_T_XI,
     ZETA3,
     _evaluator,
+    _pair,
     _pair_profile,
     _route,
     f_conducting_lattice,
@@ -616,11 +618,12 @@ class TestConductorKernel:
                               SeriesControl(max_terms=budget))
 
     def test_max_terms_caps_each_sum(self):
-        # the kernel's budget caps each half's sum, not terms_used, which
-        # adds the halves: at xi = 0.05 the Boyer pair's halves take 4 and 2
-        # terms, and a budget of 3 is short of the first; the double sum's
+        # the kernel's budget caps the one series a plate pair sums, the
+        # count its terms_used reports: at xi = 0.05 the Boyer pair's series
+        # takes 4 terms, and a budget of 3 is short of it; the double sum's
         # budget caps all its terms, the count its terms_used reports
-        assert free_energy_auto(boyer(), 0.05, SeriesControl(max_terms=4)).terms_used == 6
+        assert free_energy_auto(boyer(), 0.05).terms_used == 4
+        assert free_energy_auto(boyer(), 0.05, SeriesControl(max_terms=4)).terms_used == 4
         with pytest.raises(ConvergenceError, match="within 3 terms"):
             free_energy_auto(boyer(), 0.05, SeriesControl(max_terms=3))
         used = f_scaled_double(0.05).terms_used
@@ -656,24 +659,74 @@ class TestConductorKernel:
     def test_poisson_plan_is_the_hand_written_one(self, kind, halves, pressure):
         # the kernel derives its Poisson plan from the coth plan by the
         # inversion; every constant of it is within 2 ulps of the plan as
-        # written by hand, the powers and fast flags are the same
+        # written by hand and the powers are the same.  The slow half's
+        # products are the series' own; a fast half's term n is w_e - 1
+        # times the series' term 2n, so its products on n^-3, n^-2, n^-1,
+        # times 2^3, 2^2, 2, are w_e - 1 times the series'
         def close(x, y):
             return abs(x - y) <= 2.0 * math.ulp(y)
 
-        (c0, k0, c1, k1, rate), series = _PLANS[kind]["poisson"][pressure]
+        (c0, k0, c1, k1), (rate, *ks, ws, abs_ws, w_even, _, _) = _PLANS[kind]["poisson"][pressure]
         monomials, hand_rate, hand_series = _hand_poisson_plan(halves, pressure)
         assert [k0, k1] == [k for _, k in monomials]
         assert close(c0, monomials[0][0]) and close(c1, monomials[1][0])
         assert close(rate, hand_rate)
-        assert len(series) == len(hand_series)
-        for ((fast, *ks), ws, abs_ws), (hand_fast, products) in zip(series, hand_series):
-            assert fast == hand_fast and abs_ws == abs(ws)
-            assert all(close(ws * k, hand) for k, hand in zip(ks, products))
+        assert abs_ws == abs(ws)
+        assert (w_even != 1.0) == any(fast for fast, _ in hand_series)
+        for hand_fast, products in hand_series:
+            weight, moved = (w_even - 1.0, (8.0, 4.0, 2.0)) if hand_fast else (1.0, (1.0,) * 3)
+            assert all(close(weight * ws * k, hand * m) for k, hand, m in zip(ks, products, moved))
+
+    @pytest.mark.parametrize("kind, w_even", [
+        (PlateKind.BOYER_MIXED, {"coth": -7.0, "poisson": -1.0}),
+        (PlateKind.CONDUCTOR_CONDUCTOR, {"coth": 1.0, "poisson": 1.0}),
+    ])
+    @pytest.mark.parametrize("pressure", [False, True])
+    def test_plan_weights_the_even_terms(self, kind, w_even, pressure):
+        # one series per pair: the even terms' weight is 1 + w'/w, w the
+        # slowest half's weight and w' that of the half at half its a
+        # (coth: (2, 1/8) and (1, -1); Poisson, inverted: (1, -1) and
+        # (1/2, 2)).  Composed part by part from the two halves as the
+        # kernel summed them before, each part of the fast half's term n,
+        # A/n^3, B/n^2, C/n, moved to the series' term 2n, gives that one
+        # weight: it is uniform over the parts
+        for route in ("coth", "poisson"):
+            series = _PLANS[kind][route][pressure][1]
+            assert series[6] == w_even[route]
+            alpha, beta = (0.0, 1.0) if pressure else (1.0, 0.0)
+            halves = _HALVES[kind]
+            if route == "poisson":
+                halves = tuple((1.0 / a, w * a**4) for a, w in halves)
+                alpha, beta = alpha + 2.0 * beta, -beta
+            parts = {a: [w * k for k in (4.0 * alpha * a**3, 2.0 * alpha * a**2, -2.0 * beta * a)]
+                     for a, w in halves}
+            slow = max(parts)
+            for j, power in enumerate((3, 2, 1)):
+                if parts[slow][j]:
+                    fast = sum(p[j] * 2.0**power for a, p in parts.items() if a != slow)
+                    assert 1.0 + fast / parts[slow][j] == w_even[route]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(math.log(_ZERO_T_XI), math.log(30.0)).map(math.exp),
+        st.sampled_from(["coth", "poisson"]),
+        st.booleans(),
+    )
+    def test_boyer_series_is_the_composed_conductor(self, x, route, pressure):
+        # the Boyer pair summed as one series with parity weights equals
+        # the conducting kernel composed as g(2 xi)/8 - g(xi) (p alike),
+        # exactly in mpmath, within the three bars summed
+        boyer_r = _pair(PlateKind.BOYER_MIXED, 1.0, x, pressure, None, route)
+        g2 = _pair(PlateKind.CONDUCTOR_CONDUCTOR, 1.0, 2.0 * x, pressure, None, route)
+        g1 = _pair(PlateKind.CONDUCTOR_CONDUCTOR, 1.0, x, pressure, None, route)
+        with mpmath.workdps(40):
+            composed = mpmath.mpf(g2.value) / 8 - mpmath.mpf(g1.value)
+            bars = boyer_r.abs_err_est + g2.abs_err_est / 8 + g1.abs_err_est
+            assert abs(mpmath.mpf(boyer_r.value) - composed) <= bars
 
     def test_routed_term_counts(self):
-        # pinned below the _MIN_TERMS floor of 8 per sum, which the kernel's
-        # sums need not reach: a Boyer profile has two sums, a conducting
-        # one a single sum
+        # pinned below the _MIN_TERMS floor of 8, which the kernel's one
+        # series per plate pair need not reach
         assert free_energy_auto(boyer(), 0.01).terms_used <= 2
         assert free_energy_auto(conductor(), 1e5).terms_used <= 1
         assert pressure_auto(1.0, 1.0).terms_used <= 4

@@ -21,6 +21,7 @@ from casimir_plates import (
     pressure_zero_T,
 )
 from casimir_plates import free_energy as free_energy_module
+from casimir_plates import pressure as pressure_module
 from casimir_plates.forms import _thermodynamic_residual, pressure_thermal_log
 from casimir_plates.verification import GRIDS, run_all
 
@@ -302,9 +303,9 @@ class TestInPathCheck:
         # scale the Boyer pressure's series part on one route by (1 + 1e-5)
         # as it enters the routed value
         plans = free_energy_module._PLANS[PlateKind.BOYER_MIXED]
-        f_plan, (monomials, halves) = plans[route]
+        f_plan, (monomials, (rate, ka, kb, kc, ws, abs_ws, *weights)) = plans[route]
         k = 1.0 + 1e-5
-        scaled = tuple((a, ws * k, abs_ws * k) for a, ws, abs_ws in halves)
+        scaled = (rate, ka, kb, kc, ws * k, abs_ws * k, *weights)
         monkeypatch.setitem(plans, route, (f_plan, (monomials, scaled)))
 
     @pytest.mark.parametrize("xi, rep", [(0.1, "dfdxi"), (0.5, "poisson")])
@@ -336,10 +337,10 @@ class TestInPathCheck:
         ("conductor", 0.1, 1), ("conductor", 0.5, 1), ("conductor", 0.0, 0), ("conductor", 1e-4, 0),
     ])
     def test_routed_op_sums_only_its_halves(self, monkeypatch, op, xi, halves):
-        # one kernel pass per op, over the halves of its plate pair and no
-        # other sum: no self-check runs on the hot path.  The pass takes one
-        # exponential for all its halves, and none on the zero-T route
-        real = free_energy_module._pair_profile
+        # one kernel call per op, summing the halves of its plate pair as
+        # one series, and no other sum: no self-check runs on the hot path.
+        # The series takes one exponential, and the zero-T route none
+        real = free_energy_module._pair
         passes = []
         exps = 0
 
@@ -354,14 +355,18 @@ class TestInPathCheck:
                 return fn(x)
             return wrapped
 
-        monkeypatch.setattr(free_energy_module, "_pair_profile", counting)
+        monkeypatch.setattr(free_energy_module, "_pair", counting)
+        monkeypatch.setattr(pressure_module, "_pair", counting)
         monkeypatch.setattr(math, "exp", counted(math.exp))
         monkeypatch.setattr(math, "expm1", counted(math.expm1))
         if op == "pressure":
-            pressure_auto(1.0, xi)
+            r = pressure_auto(1.0, xi)
         else:
-            free_energy_auto(PlateSystem(1.0, op), xi)
+            r = free_energy_auto(PlateSystem(1.0, op), xi)
         assert len(passes) == 1
-        kind, _, route, pressure = passes[0][:4]
-        assert len(free_energy_module._PLANS[kind][route][pressure][1]) == halves
+        kind, _, _, pressure = passes[0][:4]
+        route = "coth" if r.rep == "dfdxi" else r.rep
+        series = free_energy_module._PLANS[kind][route][pressure][1]
+        assert (series is not None) == (halves > 0)
+        assert halves in (0, len(free_energy_module._HALVES[kind]))
         assert exps == (1 if halves else 0)

@@ -76,6 +76,11 @@ class TestSeriesControl:
         with pytest.raises(DomainError, match="^rel_tol must be positive$"):
             SeriesControl(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [math.inf, 10**400])
+    def test_rel_tol_must_be_finite(self, rel_tol):
+        with pytest.raises(DomainError, match="^rel_tol must be finite, got "):
+            SeriesControl(rel_tol=rel_tol)
+
     @pytest.mark.parametrize("kw", [
         {"max_terms": math.nan}, {"max_terms": math.inf}, {"max_terms": 100.0},
         {"max_terms": "8"}, {"max_terms": None}, {"max_terms": True},
